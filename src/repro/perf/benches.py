@@ -107,8 +107,8 @@ def bench_lk_track(quick: bool) -> BenchResult:
             repeats, 1,
         ),
         notes=(
-            "active-row gathering + shared-coordinate gradient sampling vs. "
-            "full-window resampling every iteration"
+            "active-row gathering + separable windows, each gathered once as "
+            "one (W+1)^2 block, vs. full-grid resampling every iteration"
         ),
     )
 
@@ -151,8 +151,8 @@ def bench_block_motion_field(quick: bool) -> BenchResult:
             repeats, number,
         ),
         notes=(
-            "one (N,B,B) clip-gather + row SAD reduction per candidate vs. "
-            "frozen per-block per-candidate Python scan"
+            "one clamped search-region gather per level, candidates as views "
+            "+ row SAD reduction vs. frozen per-block per-candidate Python scan"
         ),
     )
 

@@ -37,12 +37,7 @@ from repro.video.render import (
     _smooth_noise,
 )
 from repro.video.scene import Scene
-from repro.vision.optical_flow import (
-    FlowResult,
-    FramePyramid,
-    LKParams,
-    _window_grid,
-)
+from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams
 from repro.vision.image import sample_bilinear
 
 
@@ -177,6 +172,12 @@ def suppress_min_distance_reference(
             if len(selected) >= max_corners:
                 break
     return np.asarray(selected, dtype=np.float64).reshape(-1, 2)
+
+
+def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
+    offs = np.arange(-radius, radius + 1, dtype=np.float64)
+    dx, dy = np.meshgrid(offs, offs)
+    return dx, dy
 
 
 def track_features_reference(

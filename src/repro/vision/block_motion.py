@@ -11,10 +11,11 @@ doubles the running estimate and rescans a ±1 neighbourhood.  With the
 defaults that is 49 + 9 + 9 candidate positions per block for a ±15 px
 reach at full resolution.
 
-The search is vectorised across blocks, not candidates: for each
-candidate displacement one clamped gather pulls every block's patch at
-once, and the SAD reduction reuses per-thread scratch via the same pool
-as the fused convolution engine.  Patches are gathered with
+The search is vectorised across blocks, not candidates: per level one
+clamped gather pulls every block's whole search region at once, each
+candidate displacement reads its patches as views into those regions,
+and the SAD reduction reuses per-thread scratch via the same pool as
+the fused convolution engine.  Patches are gathered with
 clamped-to-border coordinates ("clamped-border SAD"), so blocks near the
 frame edge compare against edge-replicated samples — the frozen
 reference in :mod:`repro.perf.reference` replicates these semantics
@@ -38,8 +39,8 @@ class _IndexScratchPool(threading.local):
     """Per-thread reusable ``intp`` buffers, mirroring the image-pool idiom.
 
     The shared float64 pool in :mod:`repro.vision.image` cannot hold index
-    arrays, and the (N, B, B) gather indices are the one sizeable integer
-    allocation in the candidate loop.
+    arrays, and the (N, B, B) patch gather indices recur on every level
+    of every call.
     """
 
     _MAX_ENTRIES = 16
@@ -126,7 +127,8 @@ def _gather_blocks(
     out: np.ndarray,
     index_buffer: np.ndarray,
 ) -> np.ndarray:
-    """Gather one ``block x block`` patch per centre with clamped borders."""
+    """Gather one square patch of side ``len(offsets)`` per centre, with
+    each coordinate clamped to the border."""
     rows = np.clip(cy[:, None] + offsets[None, :], 0, height - 1)
     cols = np.clip(cx[:, None] + offsets[None, :], 0, width - 1)
     np.multiply(rows, width, out=rows)
@@ -146,9 +148,13 @@ def _match_level(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best integer displacement per block around ``predicted`` at one level.
 
-    Candidates are scanned in row-major ``(dy, dx)`` order with a strict
-    ``<`` comparison, so ties resolve to the first candidate — the frozen
-    reference must (and does) scan in the same order.
+    Each block's clamped ``(B+2r)^2`` search region is gathered once;
+    clamping is per coordinate, so the region's ``B x B`` window at
+    ``(dy + r, dx + r)`` holds exactly the clamped gather of candidate
+    ``(dy, dx)``.  Candidates are scanned in row-major ``(dy, dx)`` order
+    with a strict ``<`` comparison, so ties resolve to the first
+    candidate — the frozen reference must (and does) scan in the same
+    order.
     """
     height, width = prev_level.shape
     n = cx.shape[0]
@@ -160,29 +166,38 @@ def _match_level(
     flat_prev = prev_level.ravel()
     flat_next = next_level.ravel()
     _gather_blocks(flat_prev, height, width, cx, cy, offsets, prev_patches, index_buffer)
+    span = block_size + 2 * radius
+    region_shape = (n, span, span)
+    region = _gather_blocks(
+        flat_next,
+        height,
+        width,
+        cx + predicted[:, 0],
+        cy + predicted[:, 1],
+        np.arange(span, dtype=np.intp) - (block_size // 2 + radius),
+        np.empty(region_shape, dtype=np.float64),
+        np.empty(region_shape, dtype=np.intp),
+    )
 
+    side = 2 * radius + 1
     best_sad = np.full(n, np.inf, dtype=np.float64)
-    best = np.array(predicted, dtype=np.intp, copy=True)
-    for dy in range(-radius, radius + 1):
-        for dx in range(-radius, radius + 1):
-            _gather_blocks(
-                flat_next,
-                height,
-                width,
-                cx + predicted[:, 0] + dx,
-                cy + predicted[:, 1] + dy,
-                offsets,
-                candidate,
-                index_buffer,
-            )
-            np.subtract(candidate, prev_patches, out=candidate)
+    # Scan-order index of each block's running best candidate, decoded to
+    # an offset after the scan; it starts at the zero offset so a block no
+    # candidate improves on keeps ``predicted``.
+    best_candidate = np.full(n, radius * side + radius, dtype=np.intp)
+    better = np.empty(n, dtype=bool)
+    for dy in range(side):
+        rows = region[:, dy : dy + block_size]
+        for dx in range(side):
+            np.subtract(rows[:, :, dx : dx + block_size], prev_patches, out=candidate)
             np.abs(candidate, out=candidate)
             sad = candidate.reshape(n, -1).sum(axis=1)
-            better = sad < best_sad
-            if better.any():
-                best_sad[better] = sad[better]
-                best[better, 0] = predicted[better, 0] + dx
-                best[better, 1] = predicted[better, 1] + dy
+            np.less(sad, best_sad, out=better)
+            np.copyto(best_sad, sad, where=better)
+            np.copyto(best_candidate, dy * side + dx, where=better)
+    best = predicted - radius
+    best[:, 0] += best_candidate % side
+    best[:, 1] += best_candidate // side
     return best, best_sad
 
 

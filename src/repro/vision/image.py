@@ -317,53 +317,6 @@ def build_pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     return pyramid
 
 
-def sample_bilinear_pair(
-    image_a: np.ndarray,
-    image_b: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bilinearly interpolate two same-shape images at the same points.
-
-    Exactly equivalent to two :func:`sample_bilinear` calls, but the
-    coordinate work (clamping, truncation, fractional weights, flat base
-    indices) — roughly half the cost of a call — happens once.  Lucas-Kanade
-    samples both gradient images at identical window coordinates, so this
-    is a direct hot-path saving there.
-    """
-    image_a = np.asarray(image_a, dtype=np.float64)
-    image_b = np.asarray(image_b, dtype=np.float64)
-    if image_a.shape != image_b.shape:
-        raise ValueError("sample_bilinear_pair images must share a shape")
-    h, w = image_a.shape
-    if h < 2 or w < 2:
-        raise ValueError("sample_bilinear needs an image of at least 2x2")
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out_shape = xs.shape
-    xs = np.clip(xs.ravel(), 0.0, w - 1.000001)
-    ys = np.clip(ys.ravel(), 0.0, h - 1.000001)
-    x0 = xs.astype(np.intp)
-    y0 = ys.astype(np.intp)
-    fx = xs - x0
-    fy = ys - y0
-    base = y0 * w + x0
-    right = base + 1
-    below = base + w
-    corner = below + 1
-    outputs = []
-    for image in (image_a, image_b):
-        flat = image.ravel()
-        tl = flat[base]
-        tr = flat[right]
-        bl = flat[below]
-        br = flat[corner]
-        top = tl + (tr - tl) * fx
-        bottom = bl + (br - bl) * fx
-        outputs.append((top + (bottom - top) * fy).reshape(out_shape))
-    return outputs[0], outputs[1]
-
-
 def sample_bilinear(image: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bilinear interpolation of ``image`` at points ``(xs, ys)``.
 

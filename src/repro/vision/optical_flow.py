@@ -10,6 +10,15 @@ costs a handful of numpy operations per iteration.
 Per-point status reports tracking failure, which is central to the paper's
 behaviour: fast content loses features, which degrades box propagation and
 raises the measured content-change velocity.
+
+Window sampling is separable (DESIGN.md §7): a window's sample columns
+depend only on the point's x and its rows only on its y, so clamping,
+truncation and bilinear fractions are computed per axis, and a window
+whose integer cells are consecutive reads all four bilinear corners of
+every sample from one ``(W+1)^2`` pixel block gathered once.  Each
+sample still goes through exactly the float operations of
+:func:`~repro.vision.image.sample_bilinear`, so the result is
+bit-identical to sampling the full ``(N, W, W)`` coordinate grid.
 """
 
 from __future__ import annotations
@@ -17,13 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from repro.vision.image import (  # noqa: F401 (image_gradients used by FramePyramid)
-    build_pyramid,
-    image_gradients,
-    sample_bilinear,
-    sample_bilinear_pair,
-)
+from repro.vision.image import build_pyramid, image_gradients
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,10 +202,126 @@ class FlowResult:
         return self.points[self.status]
 
 
-def _window_grid(radius: int) -> tuple[np.ndarray, np.ndarray]:
-    offs = np.arange(-radius, radius + 1, dtype=np.float64)
-    dx, dy = np.meshgrid(offs, offs)
-    return dx, dy
+def _axis_cells(coords: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped integer cells and bilinear fractions of one sample axis.
+
+    The clamp, truncation and fraction are :func:`sample_bilinear`'s, applied
+    to the ``(M, W)`` per-axis coordinates instead of the broadcast grid.
+    """
+    clamped = np.clip(coords, 0.0, size - 1.000001)
+    cells = clamped.astype(np.intp)
+    return cells, clamped - cells
+
+
+def _block_view(image: np.ndarray, span: int) -> np.ndarray | None:
+    """Read-only view whose ``[y, x]`` entry is ``image[y:y+span, x:x+span]``.
+
+    ``None`` when the image is smaller than a block; then no window can
+    have ``span - 1`` consecutive in-range cells, so no row reads the view.
+    """
+    h, w = image.shape
+    if h < span or w < span:
+        return None
+    s0, s1 = image.strides
+    return as_strided(
+        image,
+        shape=(h - span + 1, w - span + 1, span, span),
+        strides=(s0, s1, s0, s1),
+        writeable=False,
+    )
+
+
+def _sample_corners(
+    image: np.ndarray,
+    x0: np.ndarray,
+    fx: np.ndarray,
+    y0: np.ndarray,
+    fy: np.ndarray,
+) -> np.ndarray:
+    """Four-corner flat gather over the broadcast window grid.
+
+    The fallback for windows whose cells are clamped at a border or not
+    consecutive; it is :func:`sample_bilinear` with the per-axis cells and
+    fractions broadcast to ``(M, W, W)``.
+    """
+    w = image.shape[1]
+    flat = image.ravel()
+    base = y0[:, :, None] * w + x0[:, None, :]
+    tl = flat[base]
+    tr = flat[base + 1]
+    bl = flat[base + w]
+    br = flat[base + w + 1]
+    fx = fx[:, None, :]
+    top = tl + (tr - tl) * fx
+    bottom = bl + (br - bl) * fx
+    return top + (bottom - top) * fy[:, :, None]
+
+
+def _sample_blocks(
+    view: np.ndarray,
+    x0: np.ndarray,
+    fx: np.ndarray,
+    y0: np.ndarray,
+    fy: np.ndarray,
+) -> np.ndarray:
+    """Bilinear samples of windows with consecutive cells, one block each.
+
+    Window ``m``'s block starts at cell ``(y0[m, 0], x0[m, 0])``; its column
+    ``j`` and ``j + 1`` are every sample's left and right corners, so one
+    horizontal pass over all ``W + 1`` block rows yields each sample row's
+    top (row ``i``) and bottom (row ``i + 1``) — the very values the
+    four-corner gather computes.
+    """
+    blocks = view[y0[:, 0], x0[:, 0]]
+    left = blocks[:, :, :-1]
+    # ``left + (right - left) * fx`` evaluated in place; IEEE addition is
+    # commutative, so accumulating onto the product is the same sum.
+    rows = np.subtract(blocks[:, :, 1:], left)
+    rows *= fx[:, None, :]
+    rows += left
+    top = rows[:, :-1]
+    out = np.subtract(rows[:, 1:], top)
+    out *= fy[:, :, None]
+    out += top
+    return out
+
+
+def _sample_windows(
+    sources: "tuple[tuple[np.ndarray, np.ndarray | None], ...]",
+    xs: np.ndarray,
+    ys: np.ndarray,
+) -> list[np.ndarray]:
+    """Sample each ``(image, block view)`` source on the separable window grid.
+
+    ``xs[m, j]`` and ``ys[m, i]`` are window ``m``'s column and row
+    coordinates; the result for each source is ``(M, W, W)`` with sample
+    ``[m, i, j]`` at ``(xs[m, j], ys[m, i])``, bit-identical to
+    :func:`~repro.vision.image.sample_bilinear` on the broadcast grid.
+    The sources must share one shape.  Each window takes the block path
+    when both its column and row cells are consecutive and the four-corner
+    fallback otherwise.
+    """
+    h, w = sources[0][0].shape
+    x0, fx = _axis_cells(xs, w)
+    y0, fy = _axis_cells(ys, h)
+    ramp = np.arange(xs.shape[1])
+    blocked = (x0 == x0[:, :1] + ramp).all(axis=1)
+    blocked &= (y0 == y0[:, :1] + ramp).all(axis=1)
+    if blocked.all():
+        return [_sample_blocks(view, x0, fx, y0, fy) for _, view in sources]
+    if not blocked.any():
+        return [_sample_corners(image, x0, fx, y0, fy) for image, _ in sources]
+    fast = np.nonzero(blocked)[0]
+    slow = np.nonzero(~blocked)[0]
+    corner_args = (x0[slow], fx[slow], y0[slow], fy[slow])
+    block_args = (x0[fast], fx[fast], y0[fast], fy[fast])
+    outputs = []
+    for image, view in sources:
+        out = np.empty((xs.shape[0], ys.shape[1], xs.shape[1]), dtype=np.float64)
+        out[fast] = _sample_blocks(view, *block_args)
+        out[slow] = _sample_corners(image, *corner_args)
+        outputs.append(out)
+    return outputs
 
 
 def track_features(
@@ -236,8 +357,9 @@ def track_features(
     next_pyr = next_image.images
     levels = min(prev_image.levels, next_image.levels)
 
-    dx, dy = _window_grid(params.window_radius)
-    window_area = dx.size
+    offs = np.arange(-params.window_radius, params.window_radius + 1, dtype=np.float64)
+    span = offs.size + 1
+    window_area = offs.size * offs.size
 
     flow = np.zeros((n, 2), dtype=np.float64)
     status = np.ones(n, dtype=bool)
@@ -251,10 +373,10 @@ def track_features(
         pts_l = points * scale
         h, w = prev_l.shape
 
-        # Window sample coordinates around each point in the previous frame:
-        # shapes (N, W, W).
-        wx = pts_l[:, 0, None, None] + dx[None]
-        wy = pts_l[:, 1, None, None] + dy[None]
+        # Window sample coordinates around each point in the previous frame,
+        # per axis: column j of wx is x + offs[j], row i of wy is y + offs[i].
+        wx = pts_l[:, 0, None] + offs
+        wy = pts_l[:, 1, None] + offs
 
         in_bounds = (
             (pts_l[:, 0] >= params.window_radius)
@@ -263,10 +385,11 @@ def track_features(
             & (pts_l[:, 1] <= h - 1 - params.window_radius)
         )
 
-        patch_prev = sample_bilinear(prev_l, wx, wy)
-        # Both gradient images are sampled at identical coordinates; the
-        # pair variant shares one coordinate pass between them.
-        ix, iy = sample_bilinear_pair(grad_x, grad_y, wx, wy)
+        prev_sources = tuple(
+            (image, _block_view(image, span)) for image in (prev_l, grad_x, grad_y)
+        )
+        next_source = ((next_l, _block_view(next_l, span)),)
+        patch_prev, ix, iy = _sample_windows(prev_sources, wx, wy)
 
         gxx = np.einsum("nij,nij->n", ix, ix)
         gxy = np.einsum("nij,nij->n", ix, iy)
@@ -302,9 +425,9 @@ def track_features(
                 rows = slice(None)
             else:
                 rows = np.nonzero(active)[0]
-            qx = wx[rows] + (flow[rows, 0] + v[rows, 0])[:, None, None]
-            qy = wy[rows] + (flow[rows, 1] + v[rows, 1])[:, None, None]
-            patch_next = sample_bilinear(next_l, qx, qy)
+            qx = wx[rows] + (flow[rows, 0] + v[rows, 0])[:, None]
+            qy = wy[rows] + (flow[rows, 1] + v[rows, 1])[:, None]
+            (patch_next,) = _sample_windows(next_source, qx, qy)
             diff = patch_prev[rows] - patch_next
             bx = np.einsum("nij,nij->n", diff, ix[rows])
             by = np.einsum("nij,nij->n", diff, iy[rows])
@@ -317,9 +440,9 @@ def track_features(
         flow = np.where(solvable[:, None], flow + v, flow)
 
         if level == 0:
-            qx = wx + flow[:, 0][:, None, None]
-            qy = wy + flow[:, 1][:, None, None]
-            patch_next = sample_bilinear(next_l, qx, qy)
+            qx = wx + flow[:, 0][:, None]
+            qy = wy + flow[:, 1][:, None]
+            (patch_next,) = _sample_windows(next_source, qx, qy)
             residual = np.abs(patch_prev - patch_next).mean(axis=(1, 2))
         else:
             flow *= 2.0

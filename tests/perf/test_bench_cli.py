@@ -67,12 +67,12 @@ class TestRequiredSpeedups:
         assert results["lk_track"].speedup_vs_reference >= 1.2
 
     def test_block_motion_field_speedup(self, results):
-        # Full-run figure ~17x vs the frozen per-candidate Python scan.
+        # Full-run figure ~33x vs the frozen per-candidate Python scan.
         assert results["block_motion_field"].speedup_vs_reference >= 5.0
 
     def test_mve_track_beats_lk_track(self, results):
         """The tier contract: the MVE fast tier must be an order cheaper
-        than pyramidal LK on the same frame pair.  Full-run figure ~7.7x;
+        than pyramidal LK on the same frame pair.  Full-run figure ~16x;
         the CI floor is 5x, this sits just below."""
         extra = results["mve_track"].extra
         assert extra["speedup_vs_lk_track"] >= 4.0

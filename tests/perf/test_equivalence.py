@@ -6,13 +6,54 @@ full pipelines; these tests localise the same guarantee to the two
 rewritten kernels, so a future regression points at the kernel and not at
 "some digest changed"."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.perf import reference, workloads
+from repro.vision import optical_flow
 from repro.vision.block_motion import BlockMotionParams, block_motion_field
 from repro.vision.features import suppress_min_distance
-from repro.vision.optical_flow import LKParams, track_features
+from repro.vision.optical_flow import FramePyramid, LKParams, track_features
+
+
+@lru_cache(maxsize=None)
+def _bench_pyramids() -> tuple[FramePyramid, ...]:
+    """Three-level pyramids of the bench clip's frames 0..4 (gaps 1-4)."""
+    clip = workloads.bench_clip()
+    return tuple(
+        FramePyramid(np.asarray(clip.frame(i), dtype=np.float64), 3) for i in range(5)
+    )
+
+
+def _border_points(
+    seed: int, n: int, reach: float, shape: tuple[int, int]
+) -> np.ndarray:
+    """``n`` points on, near and outside the frame borders, plus interior ones.
+
+    Each point sits within ``reach`` full-resolution pixels of one of the
+    four borders (either side of it) or anywhere inside the frame; a third
+    of the border offsets are whole pixels, so points land exactly on the
+    border and on cell edges.  A window reaches a border at pyramid level
+    ``l`` within ``radius * 2**l`` pixels of it, so ``reach`` picks the
+    levels whose windows clamp.
+    """
+    height, width = shape
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(0.0, width - 1.0, n)
+    ys = rng.uniform(0.0, height - 1.0, n)
+    side = rng.integers(0, 5, n)
+    offset = rng.uniform(-reach, reach, n)
+    whole = rng.random(n) < 1.0 / 3.0
+    offset[whole] = np.round(offset[whole])
+    xs[side == 0] = offset[side == 0]
+    xs[side == 1] = width - 1.0 + offset[side == 1]
+    ys[side == 2] = offset[side == 2]
+    ys[side == 3] = height - 1.0 + offset[side == 3]
+    return np.stack([xs, ys], axis=1)
 
 
 class TestNMSEquivalence:
@@ -67,6 +108,70 @@ class TestLKEquivalence:
         result = track_features(wl.pyramid_a, wl.pyramid_b, empty, wl.params)
         assert result.points.shape == (0, 2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 43, 300]),
+        gap=st.integers(1, 4),
+        reach=st.sampled_from([2.0, 8.0, 16.0, 32.0]),
+        params=st.sampled_from(
+            [LKParams(), LKParams(pyramid_levels=1), LKParams(window_radius=3)]
+        ),
+    )
+    def test_border_windows_bitwise_identical(self, seed, n, gap, reach, params):
+        """Windows clamped at any border of any level, on either sampling
+        path, against the frozen full-grid sampler."""
+        pyramids = _bench_pyramids()
+        prev, nxt = pyramids[0], pyramids[gap]
+        points = _border_points(seed, n, reach, prev.shape)
+        optimized = track_features(prev, nxt, points, params)
+        expected = reference.track_features_reference(prev, nxt, points, params)
+        assert np.array_equal(optimized.points, expected.points)
+        assert np.array_equal(optimized.status, expected.status)
+        assert np.array_equal(optimized.residual, expected.residual)
+
+    def test_border_points_take_the_corner_fallback(self, monkeypatch):
+        """The four-corner fallback really runs on clamped windows (and the
+        block path on interior ones), so the border cases above exercise
+        both samplers."""
+        calls = {"corners": 0, "blocks": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += args[1].shape[0]
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            optical_flow,
+            "_sample_corners",
+            counting("corners", optical_flow._sample_corners),
+        )
+        monkeypatch.setattr(
+            optical_flow,
+            "_sample_blocks",
+            counting("blocks", optical_flow._sample_blocks),
+        )
+        pyramids = _bench_pyramids()
+        height, width = pyramids[0].shape
+        points = np.array(
+            [
+                [0.0, height / 2],
+                [width - 1.0, height / 3],
+                [width / 2, 0.25],
+                [width / 3, height - 1.0],
+                [-3.0, -3.0],
+                [width / 2, height / 2],
+            ]
+        )
+        optimized = track_features(pyramids[0], pyramids[2], points)
+        expected = reference.track_features_reference(pyramids[0], pyramids[2], points)
+        assert np.array_equal(optimized.points, expected.points)
+        assert np.array_equal(optimized.residual, expected.residual)
+        assert calls["corners"] > 0
+        assert calls["blocks"] > 0
+
 
 class TestBlockMotionEquivalence:
     """The vectorised coarse-to-fine block matcher against the frozen
@@ -93,6 +198,32 @@ class TestBlockMotionEquivalence:
         expected = reference.block_motion_field_reference(
             wl.pyramid_a, wl.pyramid_b, wl.points, wl.params
         )
+        assert np.array_equal(optimized.vectors, expected.vectors)
+        assert np.array_equal(optimized.cost, expected.cost)
+        assert np.array_equal(optimized.valid, expected.valid)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 43, 300]),
+        gap=st.integers(1, 4),
+        reach=st.sampled_from([4.0, 12.0, 30.0]),
+        params=st.sampled_from(
+            [BlockMotionParams(), BlockMotionParams(block_size=5, refine_radius=2)]
+        ),
+    )
+    def test_clamped_search_regions_bitwise_identical(
+        self, seed, n, gap, reach, params
+    ):
+        """Block centres whose search region runs off a border: the region
+        gather clamps per coordinate exactly as per-candidate gathers do.
+        At the defaults a coarse region spans 7 level-2 pixels either side
+        of its centre (28 full-resolution pixels), a refine region 5."""
+        pyramids = _bench_pyramids()
+        prev, nxt = pyramids[0], pyramids[gap]
+        points = _border_points(seed, n, reach, prev.shape)
+        optimized = block_motion_field(prev, nxt, points, params)
+        expected = reference.block_motion_field_reference(prev, nxt, points, params)
         assert np.array_equal(optimized.vectors, expected.vectors)
         assert np.array_equal(optimized.cost, expected.cost)
         assert np.array_equal(optimized.valid, expected.valid)
