@@ -38,6 +38,7 @@ from repro.tracking.motion import MotionVelocityEstimator
 from repro.tracking.tracker import ObjectTracker
 from repro.video.dataset import VideoClip
 from repro.video.source import CameraSource
+from repro.vision.pyramid_cache import clip_fingerprint
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,7 +99,7 @@ class MarlinPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        fingerprint = clip_fingerprint(clip)
         cycles: list[CycleRecord] = []
 
         # Tracking stride so the tracker keeps camera pace on average:
@@ -132,7 +133,7 @@ class MarlinPipeline:
             tracker = ObjectTracker(
                 clip.frame, width, height, cfg.tracker,
                 seed=cfg.detector_seed * 1_000_003 + detect_frame,
-                pyramid_cache=pyramid_cache,
+                fingerprint=fingerprint,
             )
             tracker.initialize(detect_frame, detection.detections)
             t += cfg.latency.feature_extraction

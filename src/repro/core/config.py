@@ -49,15 +49,6 @@ class PipelineConfig:
     # within one model are free.  Charged by the pipeline when a policy
     # crosses the family boundary (see repro.core.multimodel).
     model_reload_latency: float = 0.8
-    # Clip-scoped FramePyramid LRU capacity shared across the tracker
-    # generations of one run (0 disables caching).  A hit replaces a full
-    # pyramid + gradient rebuild and is bit-identical to one.
-    pyramid_cache_capacity: int = 4
-    # FrameRenderer cache size for clips built under this config (None =
-    # keep the renderer default).  Sweep workers rebuild clips from specs,
-    # so this is how an experiment bounds per-worker render memory — the
-    # render.cache_hit/cache_miss counters show what the bound costs.
-    render_cache_size: int | None = None
     # Byte budget (in MiB) for the process-wide shared FrameStore, so a
     # sweep renders each frame of a clip once per process instead of once
     # per method.  None = leave the store as-is; 0 = explicitly disable.
@@ -78,42 +69,10 @@ class PipelineConfig:
                 f"tracker_tier must be {TIER_LK!r} or {TIER_MVE!r}, "
                 f"got {self.tracker_tier!r}"
             )
-        if self.pyramid_cache_capacity < 0:
-            raise ValueError("pyramid_cache_capacity must be non-negative")
-        if self.render_cache_size is not None and self.render_cache_size < 1:
-            raise ValueError("render_cache_size must be >= 1 when set")
         if self.frame_store_mb is not None and self.frame_store_mb < 0:
             raise ValueError("frame_store_mb must be non-negative when set")
         if self.artifact_store_mb is not None and self.artifact_store_mb < 0:
             raise ValueError("artifact_store_mb must be non-negative when set")
-
-    def make_pyramid_cache(self, clip=None, obs=None):
-        """A fresh per-run cache, or ``None`` when caching is disabled.
-
-        Passing ``clip`` binds the cache to the clip's scene fingerprint,
-        enabling the artifact-store read-through (the cache still works
-        unbound — it just never touches a store).  ``obs`` attaches the
-        cache's hit/miss/eviction counters to that telemetry.
-        """
-        from repro.vision.pyramid_cache import PyramidCache
-
-        if self.pyramid_cache_capacity == 0:
-            return None
-        fingerprint = None
-        scene = getattr(clip, "scene", None)
-        # Exported clips carry a scene shim with no (config, seed)
-        # identity; their pyramids stay cache-local rather than risking a
-        # store key that is not content-addressed.
-        if scene is not None and hasattr(scene, "config") and hasattr(scene, "seed"):
-            from repro.video.framestore import scene_fingerprint
-
-            fingerprint = scene_fingerprint(scene)
-        cache = PyramidCache(
-            capacity=self.pyramid_cache_capacity, fingerprint=fingerprint
-        )
-        if obs is not None:
-            cache.set_obs(obs)
-        return cache
 
     def initial_tracking_fraction(self, fps: float) -> float:
         """First-cycle estimate of the trackable fraction ``p``.

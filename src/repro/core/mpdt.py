@@ -39,6 +39,7 @@ from repro.tracking.mve import MVETracker
 from repro.tracking.tracker import TIER_MVE, ObjectTracker
 from repro.video.dataset import VideoClip
 from repro.video.source import CameraSource
+from repro.vision.pyramid_cache import clip_fingerprint
 
 
 def _model_family(profile_name: str) -> str:
@@ -113,7 +114,7 @@ class MPDTPipeline:
         )
         board = ResultBoard(clip.num_frames)
         activity = ActivityLog()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        fingerprint = clip_fingerprint(clip)
         cycles: list[CycleRecord] = []
         velocity_samples: list[tuple[int, float]] = []
         if cfg.fixed_tracking_fraction is not None:
@@ -201,13 +202,13 @@ class MPDTPipeline:
             if cfg.tracker_tier == TIER_MVE:
                 tracker = MVETracker(
                     clip.frame, width, height, cfg.mve_tracker,
-                    pyramid_cache=pyramid_cache,
+                    fingerprint=fingerprint,
                 )
             else:
                 tracker = ObjectTracker(
                     clip.frame, width, height, cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + prev_frame,
-                    pyramid_cache=pyramid_cache,
+                    fingerprint=fingerprint,
                 )
             estimator = MotionVelocityEstimator()
             tracker_time = t

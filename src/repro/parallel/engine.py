@@ -230,7 +230,6 @@ def run_shard(
         pyramid1 = pyramid_cache_mod.counters_snapshot()
         result.pyramid_hits = pyramid1["hits"] - pyramid0["hits"]
         result.pyramid_misses = pyramid1["misses"] - pyramid0["misses"]
-        result.pyramid_evictions = pyramid1["evictions"] - pyramid0["evictions"]
         if spec.keep_run:
             result.run = run
         if telemetry is not None and obs is None:
@@ -275,7 +274,6 @@ class SweepResult:
     artifact_lease_waits: int = 0
     pyramid_hits: int = 0
     pyramid_misses: int = 0
-    pyramid_evictions: int = 0
     # Which store backed the sweep: "shared" (cross-process segments),
     # "private" (per-process LRU), or "none" (store unconfigured).
     store_mode: str = "none"
@@ -439,13 +437,11 @@ class SweepEngine:
         if unknown:
             raise KeyError(f"method_kwargs for methods not in sweep: {sorted(unknown)}")
 
-        render_cache = config.render_cache_size if config is not None else None
         frame_store_mb = config.frame_store_mb if config is not None else None
         artifact_store_mb = config.artifact_store_mb if config is not None else None
         clip_specs = [
             ClipSpec.from_clip(
                 clip,
-                render_cache=render_cache,
                 frame_store_mb=frame_store_mb,
                 artifact_store_mb=artifact_store_mb,
             )
@@ -744,7 +740,6 @@ class SweepEngine:
                 out.artifact_lease_waits += shard.artifact_lease_waits
                 out.pyramid_hits += shard.pyramid_hits
                 out.pyramid_misses += shard.pyramid_misses
-                out.pyramid_evictions += shard.pyramid_evictions
                 if obs is not None and (shard.spans or shard.metrics):
                     for span in shard.spans:
                         obs.sink.record_span(span)
@@ -774,7 +769,6 @@ class SweepEngine:
         obs.counter("sweep.artifact_lease_waits").inc(result.artifact_lease_waits)
         obs.counter("sweep.pyramid_hits").inc(result.pyramid_hits)
         obs.counter("sweep.pyramid_misses").inc(result.pyramid_misses)
-        obs.counter("sweep.pyramid_evictions").inc(result.pyramid_evictions)
         obs.gauge("sweep.jobs").set(self.jobs)
 
 

@@ -31,7 +31,6 @@ class ClipSpec:
     config: ScenarioConfig
     seed: int
     name: str
-    render_cache: int = 64
     # MiB budget for the worker's process-wide FrameStore (None = leave it
     # alone).  The budget is *declared* here but applied exactly once per
     # worker via ``StoreConfig`` on the shard spec — ``build()`` must not
@@ -47,7 +46,6 @@ class ClipSpec:
     def from_clip(
         cls,
         clip: VideoClip,
-        render_cache: int | None = None,
         frame_store_mb: int | None = None,
         artifact_store_mb: int | None = None,
     ) -> "ClipSpec":
@@ -55,17 +53,12 @@ class ClipSpec:
             config=clip.config,
             seed=clip.scene.seed,
             name=clip.name,
-            render_cache=(
-                render_cache if render_cache is not None else clip.renderer.cache_size
-            ),
             frame_store_mb=frame_store_mb,
             artifact_store_mb=artifact_store_mb,
         )
 
     def build(self) -> VideoClip:
-        return make_clip(
-            self.config, seed=self.seed, name=self.name, render_cache=self.render_cache
-        )
+        return make_clip(self.config, seed=self.seed, name=self.name)
 
 
 def validate_store_budgets(
@@ -189,7 +182,6 @@ class ShardResult:
     artifact_lease_waits: int = 0
     pyramid_hits: int = 0
     pyramid_misses: int = 0
-    pyramid_evictions: int = 0
     elapsed_s: float = 0.0
     worker_pid: int = 0
     attempt: int = 0

@@ -22,11 +22,17 @@ from repro.perf.harness import BenchResult, time_callable
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.video.framestore import FrameStore
 from repro.video.render import FrameRenderer
+from repro.vision.artifact_store import (
+    BYTES_PER_MB,
+    ArtifactStore,
+    _PrivateBacking,
+    install_store,
+)
 from repro.vision.block_motion import block_motion_field
 from repro.vision.features import shi_tomasi_response, suppress_min_distance
 from repro.vision.image import gaussian_blur_batched
 from repro.vision.optical_flow import FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
+from repro.vision.pyramid_cache import load_pyramid
 
 
 def _repeats(quick: bool, full: int, number: int = 1) -> tuple[int, int]:
@@ -161,13 +167,13 @@ def bench_mve_track(quick: bool) -> BenchResult:
     """One full MVE tracker step, with the LK tier's step as the yardstick.
 
     The optimised arm seeds an :class:`MVETracker` from the bench clip's
-    annotated detections and propagates one gap-2 step over cache-shared
-    pyramids — seeding is free at this tier (no feature extraction), so
-    the whole lifecycle slice is the per-step cost.  There is no frozen
-    ``reference`` arm (the tier is new); instead ``extra`` records the LK
-    tier's step — ``track_features`` over the same frame pair, the
-    ``lk_track`` bench's exact computation — and the resulting
-    ``speedup_vs_lk_track``, which CI floors at 5x.
+    annotated detections and propagates one gap-2 step over pyramids read
+    from a private artifact store — seeding is free at this tier (no
+    feature extraction), so the whole lifecycle slice is the per-step
+    cost.  There is no frozen ``reference`` arm (the tier is new);
+    instead ``extra`` records the LK tier's step — ``track_features`` over
+    the same frame pair, the ``lk_track`` bench's exact computation — and
+    the resulting ``speedup_vs_lk_track``, which CI floors at 5x.
     """
     wl = workloads.make_mve_workload()
     lk = workloads.make_lk_workload()
@@ -176,31 +182,36 @@ def bench_mve_track(quick: bool) -> BenchResult:
     def provider(index: int) -> np.ndarray:
         return wl.frame_a if index == 0 else wl.frame_b
 
-    cache = PyramidCache(capacity=4)
-    cache.get(0, levels, provider)  # primed: timed steps never rebuild
-    cache.get(wl.frame_gap, levels, provider)
+    fingerprint = "bench-mve-track"
+    store = ArtifactStore(_PrivateBacking(16 * BYTES_PER_MB))
+    # Primed, so the timed steps never rebuild a pyramid.
+    for index in (0, wl.frame_gap):
+        load_pyramid(provider, index, levels, fingerprint, store)
     config = MVETrackerConfig(block=wl.params)
 
     def mve_step():
         tracker = MVETracker(
-            provider,
-            wl.frame_width,
-            wl.frame_height,
-            config,
-            pyramid_cache=cache,
+            provider, wl.frame_width, wl.frame_height, config, fingerprint=fingerprint
         )
         tracker.initialize(0, wl.detections)
         return tracker.track_to(wl.frame_gap)
 
-    step = mve_step()
-    if not step.detections or step.num_features == 0:
-        raise AssertionError("MVE bench step tracked nothing")
-
     def lk_step():
         return track_features(lk.pyramid_a, lk.pyramid_b, lk.points, lk.params)
 
-    repeats, number = _repeats(quick, 15)
-    optimized = time_callable(mve_step, repeats, 1)
+    # The tracker reads through the process-default store; lend it ours.
+    previous = install_store(store)
+    try:
+        misses = store.stats()["misses"]
+        step = mve_step()
+        if not step.detections or step.num_features == 0:
+            raise AssertionError("MVE bench step tracked nothing")
+        repeats, number = _repeats(quick, 15)
+        optimized = time_callable(mve_step, repeats, 1)
+        if store.stats()["misses"] != misses:
+            raise AssertionError("MVE bench step rebuilt a pyramid")
+    finally:
+        install_store(previous)
     lk_measure = time_callable(lk_step, repeats, 1)
     return BenchResult(
         name="mve_track",
@@ -358,50 +369,6 @@ def bench_shi_tomasi_response(quick: bool) -> BenchResult:
     )
 
 
-def bench_pyramid_cache_hit(quick: bool) -> BenchResult:
-    """FramePyramid construction (+ gradients) vs. a clip-cache hit.
-
-    The reference is the pre-cache steady state — every tracker generation
-    rebuilds its seed pyramid from the raw frame; the optimised path is a
-    :class:`PyramidCache` hit, which is what a rebuild becomes whenever the
-    run's frame access pattern revisits an index.
-    """
-    wl = workloads.make_lk_workload()
-    levels = wl.params.pyramid_levels
-
-    def build() -> FramePyramid:
-        pyramid = FramePyramid(wl.frame_a, levels)
-        for level in range(pyramid.levels):
-            pyramid.gradients(level)
-        return pyramid
-
-    cache = PyramidCache(capacity=2)
-    provider = lambda _index: wl.frame_a  # noqa: E731 - tiny bench closure
-    cache.get(0, levels, provider)  # prime: every timed get() below is a hit
-
-    def cached() -> FramePyramid:
-        pyramid = cache.get(0, levels, provider)
-        for level in range(pyramid.levels):
-            pyramid.gradients(level)
-        return pyramid
-
-    repeats, number = _repeats(quick, 15)
-    return BenchResult(
-        name="pyramid_cache_hit",
-        hot_path="repro.vision.pyramid_cache.PyramidCache",
-        workload={
-            "scenario": workloads.SCENARIO,
-            "seed": workloads.SEED,
-            "frame_shape": list(wl.frame_a.shape),
-            "levels": levels,
-        },
-        optimized=time_callable(cached, repeats, 1),
-        reference=time_callable(build, repeats, 1),
-        notes="clip-level LRU cache hit vs. full pyramid + gradient rebuild",
-        extra={"cache_hits": cache.hits, "cache_misses": cache.misses},
-    )
-
-
 def bench_mpdt_cycle(quick: bool) -> BenchResult:
     """Full MPDT pipeline run, reported per detection cycle.
 
@@ -549,32 +516,28 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
     """A repeat arm's pyramid pass over a clip: artifact-store hit vs rebuild.
 
     The sweep engine runs many method arms over the same clip; the first
-    arm's pyramid-cache misses fill the shared artifact store, every later
-    arm reads warmed pyramids back.  The optimised arm is that later
-    method — a fresh per-run :class:`PyramidCache` whose local entries
-    always miss but whose store always hits; the reference arm is the
-    pre-store steady state: every arm rebuilds every pyramid (and warms
-    its gradients) from the raw frame.  Reported per 8-frame arm pass.
+    arm's misses fill the shared artifact store, every later arm reads
+    warmed pyramids back.  The optimised arm is that later method —
+    :func:`load_pyramid` served by the store for every frame; the
+    reference arm is the pre-store steady state: every arm rebuilds every
+    pyramid (and warms its gradients) from the raw frame.  Reported per
+    8-frame arm pass.
     """
-    from repro.vision.artifact_store import ArtifactStore
-    from repro.vision.artifact_store import _PrivateBacking
-
     num_frames = 8
     levels = LKParams().pyramid_levels
     clip = workloads.bench_clip(num_frames=num_frames)
     frames = [np.asarray(clip.frame(i), dtype=np.float64) for i in range(num_frames)]
     provider = frames.__getitem__
     fingerprint = "bench-pyramid-store"
-    store = ArtifactStore(_PrivateBacking(64 * 1024 * 1024))
+    store = ArtifactStore(_PrivateBacking(64 * BYTES_PER_MB))
 
     # First arm fills the store; the equality gate then pins every
     # store-served level image and gradient pair against a direct build.
-    filler = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
     for index in range(num_frames):
-        filler.get(index, levels, provider)
-    reader = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
+        load_pyramid(provider, index, levels, fingerprint, store)
+    misses = store.stats()["misses"]
     for index in range(num_frames):
-        served = reader.get(index, levels, provider)
+        served = load_pyramid(provider, index, levels, fingerprint, store)
         direct = FramePyramid(frames[index], levels)
         for level in range(direct.levels):
             if not np.array_equal(served.images[level], direct.images[level]):
@@ -583,16 +546,13 @@ def bench_pyramid_store_sweep(quick: bool) -> BenchResult:
             dgx, dgy = direct.gradients(level)
             if not (np.array_equal(sgx, dgx) and np.array_equal(sgy, dgy)):
                 raise AssertionError("store-served gradients diverged from a rebuild")
-    if reader.store_hits != num_frames:
+    if store.stats()["misses"] != misses:
         raise AssertionError("repeat arm did not hit the store for every frame")
 
     def store_pass() -> FramePyramid:
-        # A fresh cache per pass = a fresh method arm: local entries are
-        # cold, so every frame reads through to the shared store.
-        arm = PyramidCache(capacity=2, fingerprint=fingerprint, artifact_store=store)
         pyramid = None
         for index in range(num_frames):
-            pyramid = arm.get(index, levels, provider)
+            pyramid = load_pyramid(provider, index, levels, fingerprint, store)
         return pyramid
 
     def rebuild_pass() -> FramePyramid:
@@ -682,7 +642,6 @@ BENCHES = {
     "gaussian_blur": bench_gaussian_blur,
     "pyramid_build": bench_pyramid_build,
     "shi_tomasi_response": bench_shi_tomasi_response,
-    "pyramid_cache_hit": bench_pyramid_cache_hit,
     "render_frame": bench_render_frame,
     "frame_store_sweep": bench_frame_store_sweep,
     "pyramid_store_sweep": bench_pyramid_store_sweep,

@@ -23,11 +23,14 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.core.config import PipelineConfig
 from repro.experiments.fig6_overall import FIG6_METHODS
 from repro.experiments.workloads import quick_suite
 from repro.parallel import SweepEngine, SweepResult
+from repro.video import framestore
+from repro.vision import artifact_store
 
 MACRO_SCHEMA_VERSION = 1
 MACRO_SUITE_NAME = "repro-macro"
@@ -98,6 +101,24 @@ def _assert_identical(sequential: SweepResult, parallel: SweepResult) -> None:
                 )
 
 
+@contextmanager
+def _cold_process_stores():
+    """Empty this process's frame and artifact stores on entry and exit.
+
+    The sequential arm runs on the process's own stores, which an earlier
+    caller may have left budgeted and full; a zero budget drops their
+    entries, so both arms start cold and their misses compare.  Zeroing
+    again on exit releases the up to 512 MiB the bench filled.
+    """
+    framestore.configure_default(0)
+    artifact_store.configure_default(0)
+    try:
+        yield
+    finally:
+        framestore.configure_default(0)
+        artifact_store.configure_default(0)
+
+
 def run_macro_benchmark(
     jobs: int = 4,
     repeats: int = 3,
@@ -142,7 +163,11 @@ def run_macro_benchmark(
         frame_store_mb=frame_store_mb, artifact_store_mb=artifact_store_mb
     )
 
-    with SweepEngine(jobs=1) as seq_engine, SweepEngine(jobs=jobs) as par_engine:
+    with (
+        _cold_process_stores(),
+        SweepEngine(jobs=1) as seq_engine,
+        SweepEngine(jobs=jobs) as par_engine,
+    ):
         # Artifact-disabled baseline first, not interleaved: enabling the
         # store is sticky process-wide (budget 0 would drop its entries),
         # so interleaving would cold-start the enabled arm every repeat.
@@ -153,7 +178,7 @@ def run_macro_benchmark(
             seq_engine.run(methods, suite, config=config_disabled)
             disabled_times.append(time.perf_counter() - start)
 
-        # Artifact-disabled parallel pass: the frame-store hit-ratio gate
+        # Artifact-disabled parallel pass: the frame-store reuse gate
         # compares parallel vs sequential *at equal frame demand*, and the
         # artifact store changes that demand (a store-served pyramid never
         # fetches its frame), so the frame_store block's parallel counters
@@ -209,9 +234,10 @@ def run_macro_benchmark(
         # Store counters from the warm-up/identity pass (the cold-store
         # run): misses = frames actually rendered, hits = frames served
         # from the shared store.  With a budget that fits the suite,
-        # misses stay at ~unique-frames fleet-wide no matter how many
+        # misses equal the unique frames fleet-wide no matter how many
         # methods (or workers) rescan each clip — the parallel arm's
-        # cross-process store is what makes that hold at jobs > 1.
+        # cross-process store is what makes that hold at jobs > 1, and
+        # validate_macro_doc gates on it exactly.
         "frame_store": {
             "budget_mb": frame_store_mb,
             # Both arms' counters come from artifact-*disabled* passes so
@@ -251,8 +277,6 @@ def run_macro_benchmark(
                 "misses": sequential.artifact_misses,
                 "evicted_bytes": sequential.artifact_evicted_bytes,
                 "lease_waits": sequential.artifact_lease_waits,
-                "pyramid_cache_hits": sequential.pyramid_hits,
-                "pyramid_cache_misses": sequential.pyramid_misses,
             },
             "parallel": {
                 "store_mode": parallel.artifact_store_mode,
@@ -260,8 +284,6 @@ def run_macro_benchmark(
                 "misses": parallel.artifact_misses,
                 "evicted_bytes": parallel.artifact_evicted_bytes,
                 "lease_waits": parallel.artifact_lease_waits,
-                "pyramid_cache_hits": parallel.pyramid_hits,
-                "pyramid_cache_misses": parallel.pyramid_misses,
             },
         },
     }
@@ -325,58 +347,56 @@ _REQUIRED_SERVE_RUNG_KEYS = (
 )
 
 
-def _validate_store_block(
-    bench: dict, store: dict, label: str, min_hit_ratio: float | None
-) -> None:
-    """Shared validation for the frame_store / artifact_store blocks.
+def _validate_store_block(bench: dict, store: dict, label: str) -> None:
+    """Schema and reuse gate for the frame_store / artifact_store blocks.
 
-    ``min_hit_ratio`` is the reuse parity gate: the parallel arm's store
-    hits must reach that fraction of the sequential arm's.  One-sided —
-    the parallel arm legitimately hits *more* often, because worker-local
-    caches are colder than the parent's and fall through to the store.
-    Host-independent (cache behaviour, not wall clock), so no cpu_count
-    waiver.
+    The gate is exact: with a budget that held the sweep's working set,
+    every unique frame (or pyramid) is produced once fleet-wide, so the
+    parallel arm's misses must equal the sequential arm's — render-once
+    and build-once across processes.  Hits may differ (worker-local
+    caches are colder than the parent's and fall through to the store),
+    so only misses are compared.  An arm that evicted proves nothing
+    about reuse, and a budgeted store that missed nothing measured
+    nothing; both are errors.  Host-independent (cache behaviour, not
+    wall clock), so no cpu_count waiver.
     """
+    name = bench["name"]
     for key in ("budget_mb", "sequential", "parallel"):
         if key not in store:
-            raise ValueError(
-                f"bench {bench['name']!r} {label} missing key {key!r}"
-            )
+            raise ValueError(f"bench {name!r} {label} missing key {key!r}")
     for arm in ("sequential", "parallel"):
         for key in ("hits", "misses", "evicted_bytes"):
             if key not in store[arm]:
-                raise ValueError(
-                    f"bench {bench['name']!r} {label}.{arm} "
-                    f"missing key {key!r}"
-                )
+                raise ValueError(f"bench {name!r} {label}.{arm} missing key {key!r}")
         # store_mode/lease_waits arrived with the cross-process store;
         # pre-existing documents omit them.  When present, the mode must
         # be one the engine can actually report.
         mode = store[arm].get("store_mode")
         if mode is not None and mode not in ("shared", "private", "none"):
             raise ValueError(
-                f"bench {bench['name']!r} {label}.{arm} has unknown "
-                f"store_mode {mode!r}"
+                f"bench {name!r} {label}.{arm} has unknown store_mode {mode!r}"
             )
-    if min_hit_ratio is not None:
-        seq_hits = store["sequential"]["hits"]
-        par_hits = store["parallel"]["hits"]
-        required = min_hit_ratio * seq_hits
-        if par_hits < required:
-            raise ValueError(
-                f"bench {bench['name']!r} parallel-arm {label} hits {par_hits} "
-                f"below {min_hit_ratio:.0%} of sequential arm "
-                f"({seq_hits} hits; required >= {required:.0f})"
-            )
+    seq, par = store["sequential"], store["parallel"]
+    if seq["evicted_bytes"] or par["evicted_bytes"]:
+        raise ValueError(
+            f"bench {name!r} {label} evicted {seq['evicted_bytes']} bytes "
+            f"(sequential) and {par['evicted_bytes']} bytes (parallel): the "
+            f"{store['budget_mb']} MiB budget is too small to certify reuse"
+        )
+    if store["budget_mb"] and not seq["misses"]:
+        raise ValueError(
+            f"bench {name!r} {label} recorded no sequential misses under a "
+            f"{store['budget_mb']} MiB budget: nothing was measured"
+        )
+    if par["misses"] != seq["misses"]:
+        raise ValueError(
+            f"bench {name!r} parallel-arm {label} misses {par['misses']} != "
+            f"sequential arm's {seq['misses']}: the fleet did not produce each "
+            f"entry exactly once"
+        )
 
 
-def _validate_sweep_bench(
-    bench: dict,
-    doc: dict,
-    min_speedup: float | None,
-    min_store_hit_ratio: float | None = None,
-    min_artifact_hit_ratio: float | None = None,
-) -> None:
+def _validate_sweep_bench(bench: dict, doc: dict, min_speedup: float | None) -> None:
     for key in _REQUIRED_SWEEP_BENCH_KEYS:
         if key not in bench:
             raise ValueError(
@@ -388,23 +408,11 @@ def _validate_sweep_bench(
             raise ValueError(f"bench {bench['name']!r} has non-positive {key}")
     if bench["jobs"] < 2:
         raise ValueError(f"bench {bench['name']!r} has jobs < 2")
-    _validate_store_block(
-        bench, bench["frame_store"], "frame_store", min_store_hit_ratio
-    )
-    # The artifact_store block arrived after frame_store; documents written
-    # before it omit the block entirely — but asking for the gate against a
-    # document that never measured the store is an error, not a pass.
-    artifact = bench.get("artifact_store")
-    if artifact is None:
-        if min_artifact_hit_ratio is not None:
-            raise ValueError(
-                f"bench {bench['name']!r} has no artifact_store block but "
-                f"--min-artifact-hit-ratio was requested"
-            )
-    else:
-        _validate_store_block(
-            bench, artifact, "artifact_store", min_artifact_hit_ratio
-        )
+    _validate_store_block(bench, bench["frame_store"], "frame_store")
+    # The artifact_store block arrived after frame_store; documents
+    # written before it omit the block entirely.
+    if "artifact_store" in bench:
+        _validate_store_block(bench, bench["artifact_store"], "artifact_store")
     if min_speedup is not None:
         cpu_count = doc["host"]["cpu_count"]
         if isinstance(cpu_count, int) and cpu_count < 2:
@@ -480,8 +488,6 @@ def validate_macro_doc(
     doc: dict,
     min_speedup: float | None = None,
     min_sustained_streams: int | None = None,
-    min_store_hit_ratio: float | None = None,
-    min_artifact_hit_ratio: float | None = None,
 ) -> list[str]:
     """Schema check for ``BENCH_macro.json``; returns the bench names.
 
@@ -490,11 +496,10 @@ def validate_macro_doc(
     the sweep-smoke job asserts the pool actually pays for itself; it is
     optional because the document is also written on hosts where parallel
     wall-clock wins are impossible (see ``host.cpu_count``).
-    ``min_store_hit_ratio`` is the render-once parity gate: the parallel
-    arm's store hits must reach that fraction of the sequential arm's
-    (no host waiver — cache reuse does not need a second core).
-    ``min_artifact_hit_ratio`` is the same one-sided parity gate for the
-    derived-artifact store (build each pyramid once per sweep).
+    Every sweep bench's store blocks must also pass the exact reuse gate
+    (see ``_validate_store_block``): equal misses in both arms, nothing
+    evicted.  It is always on and has no host waiver — cache reuse does
+    not need a second core.
     ``min_sustained_streams`` is the serve CI gate: the serve-smoke job
     asserts the scheduler still sustains a floor fleet size at the
     realtime p99 SLO (host-independent — the ladder runs in virtual time).
@@ -529,9 +534,7 @@ def validate_macro_doc(
         if bench["failures"] != 0:
             raise ValueError(f"bench {bench['name']!r} recorded failures")
         if kind == "sweep":
-            _validate_sweep_bench(
-                bench, doc, min_speedup, min_store_hit_ratio, min_artifact_hit_ratio
-            )
+            _validate_sweep_bench(bench, doc, min_speedup)
         elif kind == "serve":
             _validate_serve_bench(bench, min_sustained_streams)
         else:

@@ -41,6 +41,7 @@ from repro.runtime.simulator import (
 )
 from repro.tracking.tracker import ObjectTracker
 from repro.video.dataset import VideoClip
+from repro.vision.pyramid_cache import clip_fingerprint
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +146,7 @@ class LiveExecutor:
         detection_ready = threading.Event()
         camera_done = threading.Event()
         detector_done = threading.Event()
-        pyramid_cache = cfg.make_pyramid_cache(clip=clip, obs=obs)
+        fingerprint = clip_fingerprint(clip)
 
         def now() -> float:
             return (time.monotonic() - start) / self.time_scale
@@ -217,7 +218,7 @@ class LiveExecutor:
                     clip.config.frame_height,
                     cfg.tracker,
                     seed=cfg.detector_seed * 1_000_003 + seed_frame,
-                    pyramid_cache=pyramid_cache,
+                    fingerprint=fingerprint,
                 )
                 with obs.span("live.seed_features", frame=seed_frame):
                     tracker.initialize(seed_frame, detections)

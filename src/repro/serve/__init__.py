@@ -22,7 +22,6 @@ from repro.serve.detector import (
     SharedDetectorModel,
     SpikyDetectorModel,
 )
-from repro.serve.live import BatchServeExecutor
 from repro.serve.report import ClassReport, FleetReport, StreamReport, nearest_rank
 from repro.serve.scheduler import (
     ServeConfig,
@@ -35,7 +34,6 @@ from repro.serve.streams import SimStream, StreamConfig, StreamWorkload
 __all__ = [
     "AdmissionQueue",
     "BatchDetectorModel",
-    "BatchServeExecutor",
     "ClassReport",
     "DetectionRequest",
     "FleetReport",

@@ -25,10 +25,9 @@ sheds the *newest* queued ``best_effort`` request (freshest work has the
 least sunk waiting time); if no ``best_effort`` request is queued the
 realtime request is rejected too.  Nothing is ever dropped silently.
 
-The queue is lock-protected so the threaded frontend
-(:mod:`repro.serve.live`) can feed it from many producer threads; the
-deterministic scheduler uses it single-threaded and pays one uncontended
-lock per call.
+The queue is lock-protected so producer and consumer threads may share
+it; the deterministic scheduler uses it single-threaded and pays one
+uncontended lock per call.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class AdmissionQueue:
             raise ValueError("max_depth must be >= 1")
         self.max_depth = max_depth
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         self._queues: dict[str, deque[DetectionRequest]] = {
             qos: deque() for qos in QOS_CLASSES
         }
@@ -117,7 +115,7 @@ class AdmissionQueue:
         caller must notify the victim's stream, which is what makes the
         drop explicit rather than silent.
         """
-        with self._not_empty:
+        with self._lock:
             self.counters.submitted += 1
             shed: DetectionRequest | None = None
             if self._depth_locked() >= self.max_depth:
@@ -130,7 +128,6 @@ class AdmissionQueue:
                     return False, None
             self._queues[request.qos].append(request)
             self.counters.admitted += 1
-            self._not_empty.notify()
             return True, shed
 
     # -- batch assembly --------------------------------------------------------
@@ -147,17 +144,6 @@ class AdmissionQueue:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         with self._lock:
-            return self._pop_batch_locked(max_batch)
-
-    def next_batch_blocking(
-        self, max_batch: int, timeout: float
-    ) -> list[DetectionRequest]:
-        """Like :meth:`next_batch` but waits up to ``timeout`` for work."""
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        with self._not_empty:
-            if self._depth_locked() == 0:
-                self._not_empty.wait(timeout)
             return self._pop_batch_locked(max_batch)
 
     def _pop_batch_locked(self, max_batch: int) -> list[DetectionRequest]:

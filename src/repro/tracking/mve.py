@@ -34,7 +34,7 @@ from repro.vision.block_motion import (
     box_block_centers,
 )
 from repro.vision.optical_flow import FramePyramid
-from repro.vision.pyramid_cache import PyramidCache
+from repro.vision.pyramid_cache import load_pyramid
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,11 +65,13 @@ class MVETracker(BoxTrackerBase):
         frame_width: int,
         frame_height: int,
         config: MVETrackerConfig | None = None,
-        pyramid_cache: PyramidCache | None = None,
+        fingerprint: str | None = None,
     ) -> None:
         super().__init__(frame_provider, frame_width, frame_height)
         self.config = config or MVETrackerConfig()
-        self._pyramid_cache = pyramid_cache
+        # Scene fingerprint for the artifact-store read-through (see
+        # ObjectTracker); None builds every pyramid locally.
+        self._fingerprint = fingerprint
         self._pyramid: FramePyramid | None = None
         # Per-object last measured velocity in pixels/frame, index-aligned
         # with ``self._objects``; zero until the first successful match.
@@ -78,9 +80,7 @@ class MVETracker(BoxTrackerBase):
 
     def _build_pyramid(self, frame_index: int) -> FramePyramid:
         levels = self.config.block.pyramid_levels
-        if self._pyramid_cache is None:
-            return FramePyramid(self._frames(frame_index), levels)
-        return self._pyramid_cache.get(frame_index, levels, self._frames)
+        return load_pyramid(self._frames, frame_index, levels, self._fingerprint)
 
     @property
     def num_features(self) -> int:

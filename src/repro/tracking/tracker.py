@@ -31,7 +31,7 @@ from repro.tracking.motion import motion_velocity
 from repro.vision.fast import fast_corners
 from repro.vision.features import good_features_to_track
 from repro.vision.optical_flow import FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
+from repro.vision.pyramid_cache import load_pyramid
 
 # Tracker cost/fidelity tiers, cheapest last.  ``lk`` is the paper's
 # pyramidal Lucas-Kanade tracker, ``mve`` the block-motion extrapolation
@@ -200,16 +200,14 @@ class ObjectTracker(BoxTrackerBase):
         frame_height: int,
         config: TrackerConfig | None = None,
         seed: int = 0,
-        pyramid_cache: PyramidCache | None = None,
+        fingerprint: str | None = None,
     ) -> None:
         super().__init__(frame_provider, frame_width, frame_height)
         self.config = config or TrackerConfig()
-        # Optional clip-scoped cache shared across tracker generations: the
-        # pipeline re-seeds a fresh ObjectTracker every detection cycle, and
-        # without the cache each generation rebuilds pyramids the previous
-        # one already built.  Must only be shared between trackers reading
-        # the same clip (keys are frame indices).
-        self._pyramid_cache = pyramid_cache
+        # The clip's scene fingerprint: with it, pyramids read through the
+        # derived-artifact store (see repro.vision.pyramid_cache); without
+        # it, every pyramid is built locally.
+        self._fingerprint = fingerprint
         self._rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
         self._points = np.zeros((0, 2), dtype=np.float64)
         self._owners = np.zeros(0, dtype=np.intp)
@@ -250,9 +248,7 @@ class ObjectTracker(BoxTrackerBase):
 
     def _build_pyramid(self, frame_index: int) -> FramePyramid:
         levels = self.config.lk.pyramid_levels
-        if self._pyramid_cache is None:
-            return FramePyramid(self._frames(frame_index), levels)
-        return self._pyramid_cache.get(frame_index, levels, self._frames)
+        return load_pyramid(self._frames, frame_index, levels, self._fingerprint)
 
     def initialize(self, frame_index: int, detections: Sequence[Detection]) -> None:
         """Seed the tracker with the detector's output for ``frame_index``."""

@@ -69,7 +69,6 @@ def make_clip(
     seed: int,
     num_frames: int | None = None,
     name: str | None = None,
-    render_cache: int = 64,
     frame_store: FrameStore | None = None,
     **overrides,
 ) -> VideoClip:
@@ -87,7 +86,7 @@ def make_clip(
         if num_frames is not None:
             config = config.with_frames(num_frames)
     scene = Scene(config, seed=seed)
-    renderer = FrameRenderer(scene, cache_size=render_cache, frame_store=frame_store)
+    renderer = FrameRenderer(scene, frame_store=frame_store)
     clip_name = name or f"{config.name}-{seed}"
     return VideoClip(name=clip_name, scene=scene, renderer=renderer)
 

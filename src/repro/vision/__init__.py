@@ -37,13 +37,13 @@ from repro.vision.block_motion import (
     box_block_centers,
 )
 from repro.vision.optical_flow import FlowResult, FramePyramid, LKParams, track_features
-from repro.vision.pyramid_cache import PyramidCache
 from repro.vision.artifact_store import (
     ArtifactStore,
     PyramidArtifact,
     pack_artifact,
     unpack_artifact,
 )
+from repro.vision.pyramid_cache import load_pyramid
 
 __all__ = [
     "gaussian_blur",
@@ -65,7 +65,7 @@ __all__ = [
     "FramePyramid",
     "LKParams",
     "track_features",
-    "PyramidCache",
+    "load_pyramid",
     "ArtifactStore",
     "PyramidArtifact",
     "pack_artifact",

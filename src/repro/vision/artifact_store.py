@@ -3,11 +3,11 @@
 PR 7's :mod:`repro.video.framestore` made *raw frames* render-once
 fleet-wide, but every derived artifact was still recomputed per method
 arm per worker: a fig6 sweep runs ~8 method arms over the same clips,
-and each arm rebuilds identical :class:`~repro.vision.optical_flow.FramePyramid`
-levels and Scharr gradients from scratch, because the
-:class:`~repro.vision.pyramid_cache.PyramidCache` is per-run.  This
-module is the frame store one layer up: a content-addressed,
-byte-budgeted store of **pyramid artifacts** — the per-level images plus
+and each arm would rebuild identical :class:`~repro.vision.optical_flow.FramePyramid`
+levels and Scharr gradients from scratch.  This module is the frame
+store one layer up and the one cache of derived pyramids (trackers read
+through it with :func:`~repro.vision.pyramid_cache.load_pyramid`): a
+content-addressed, byte-budgeted store of **pyramid artifacts** — the per-level images plus
 (optionally) the warmed ``(Ix, Iy)`` gradient pairs — keyed by
 
     ``(scene fingerprint, frame_index, pyramid_levels, warm_gradients)``
@@ -300,8 +300,8 @@ class ArtifactStore:
 #
 # Mirrors repro.video.framestore: a disabled-by-default process instance,
 # an overlay slot for a sweep worker's attached shared store, and a
-# configure hook the engine (and --artifact-store-mb) drive.  Pyramid
-# caches resolve the default lazily at get() time, so configuring it
+# configure hook the engine (and --artifact-store-mb) drive.
+# load_pyramid resolves the default at call time, so configuring it
 # after pipelines were built still takes effect.
 
 _default_store = ArtifactStore(_PrivateBacking(0))

@@ -76,9 +76,8 @@ class FramePyramid:
     optimisation OpenCV exposes via ``buildOpticalFlowPyramid``.
 
     Gradients are memoised per level: the first ``gradients(level)`` call
-    computes them, every later one — across LK levels, repeated
-    ``track_features`` calls, and tracker generations sharing a pyramid
-    through the clip cache — returns the stored pair.  The memo is a pure
+    computes them, every later one — across LK levels and repeated
+    ``track_features`` calls — returns the stored pair.  The memo is a pure
     function of the (immutable) pyramid images, so a hit is bit-identical
     to a recompute.
     """
@@ -125,23 +124,6 @@ class FramePyramid:
     def levels(self) -> int:
         return len(self.images)
 
-    def prefix(self, levels: int) -> "FramePyramid":
-        """A pyramid limited to the first ``levels`` levels, sharing storage.
-
-        :func:`~repro.vision.image.build_pyramid` is iterative — level
-        ``i`` never depends on how many levels were requested — so the
-        prefix of a deeper pyramid is bit-identical to building the
-        shallower one directly.  The returned object shares this
-        pyramid's images *and* its gradient memo (a gradient computed
-        through either is visible to both), which is what lets a tracker
-        tier requesting fewer levels reuse a deeper tier's warmed work.
-        """
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
-        if levels >= self.levels:
-            return self
-        return _PyramidPrefix(self, levels)
-
     def gradients(self, level: int) -> tuple[np.ndarray, np.ndarray]:
         cached = self._gradients[level]
         if cached is None:
@@ -152,35 +134,10 @@ class FramePyramid:
     def warm_gradients(self) -> None:
         """Materialise every level's gradient memo (idempotent).
 
-        Lets a builder (e.g. :class:`~repro.vision.pyramid_cache.PyramidCache`
-        with warming enabled) pay the gradient cost up front, off the
-        consumer's critical path.
+        Lets a builder (e.g. :func:`~repro.vision.pyramid_cache.load_pyramid`
+        publishing to the artifact store) pay the gradient cost up front,
+        off the consumer's critical path.
         """
-        for level in range(self.levels):
-            self.gradients(level)
-
-
-class _PyramidPrefix(FramePyramid):
-    """A truncated view of a deeper :class:`FramePyramid`.
-
-    Must be a real ``FramePyramid`` instance: :func:`track_features` and
-    the block matcher ``isinstance``-check their pyramid arguments and
-    clamp to ``min(prev.levels, next.levels)``, so handing a consumer the
-    *deeper* parent would change which levels run.  Gradient calls
-    delegate to the parent so the memo is shared in both directions.
-    """
-
-    def __init__(self, parent: FramePyramid, levels: int) -> None:
-        self._parent = parent
-        self.shape = parent.shape
-        self.images = parent.images[:levels]
-
-    def gradients(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        if level >= len(self.images):
-            raise IndexError(f"level {level} out of range for {len(self.images)}-level prefix")
-        return self._parent.gradients(level)
-
-    def warm_gradients(self) -> None:
         for level in range(self.levels):
             self.gradients(level)
 

@@ -1,253 +1,100 @@
-"""Clip-scoped LRU cache of :class:`FramePyramid` objects.
+"""Frame pyramids read through the derived-artifact store.
 
 Pyramid construction (Gaussian blur + subsample per level, plus the
-lazily-computed Scharr gradients) is the fixed per-frame cost of the
-tracking hot path.  Within one pipeline run the same frame's pyramid is
-requested more than once — most visibly in the live executor, where a
-tracking task often steps onto the very frame whose detection then seeds
-the next task — and benchmark/experiment code replays the same clip
-repeatedly.  Caching by frame index is safe because a clip's frames are a
-pure function of the index, and a :class:`FramePyramid` is immutable
-apart from its internal gradient memoisation (which is itself a pure
-function of the pyramid images), so a cache hit is bit-identical to a
-rebuild.
+Scharr gradients) is the fixed per-frame cost of the tracking hot path.
+A pyramid is a pure function of ``(scene, frame_index, levels)``, so one
+built anywhere in a sweep can serve every method arm and worker process
+that asks for the same key.  :func:`load_pyramid` is that read-through:
+it asks the :class:`~repro.vision.artifact_store.ArtifactStore` first,
+and on a miss builds the pyramid, warms its gradients, publishes it and
+adopts the canonical stored copy.  A store-served pyramid is
+bit-identical to a fresh build, so the store changes *when* pyramids are
+computed, never *what* they are.
 
-One cache instance must only ever serve one clip: the key is the frame
-*index*, not the frame content.  The pipelines create a fresh cache per
-run.  ``get`` is thread-safe (the live executor shares a cache across
-sequential tracker generations while other threads run), though a
-concurrent miss on the same key may build the pyramid twice — harmless,
-since both builds are identical (the insert is first-insert-wins, so all
-callers converge on one canonical pyramid).
-
-Two reuse paths beyond the exact-key hit:
-
-- **Prefix serving.** ``build_pyramid`` computes level ``i``
-  independently of how many levels were requested, so a cached pyramid
-  built for ``L`` levels *contains* the pyramid for any ``k <= L`` as its
-  leading slice.  A request for fewer levels than a cached entry is
-  served as a :meth:`FramePyramid.prefix` view — no rebuild, shared
-  gradient memo.  This is what makes an lk↔mve tracker-tier transition
-  on the same frame a hit even when the tiers configure different
-  ``pyramid_levels``.
-- **Artifact-store read-through.** When the cache is bound to a scene
-  fingerprint and an :class:`~repro.vision.artifact_store.ArtifactStore`
-  is active (explicitly, or via the process default that sweep workers
-  attach to), a local miss first consults the store, and a local build
-  publishes its artifact back.  Store-served pyramids are bit-identical
-  to fresh builds, so this only changes *when* work happens — across a
-  sweep, each distinct pyramid is built once fleet-wide instead of once
-  per method arm per worker.
+There is deliberately no per-run cache in front of the store.  A
+pipeline never asks for the same ``(frame, levels)`` twice within one
+run — each tracker keeps its current pyramid itself — so a local LRU
+here only ever missed.  The one cache owner for derived pyramids is the
+artifact store.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
+from repro.video.framestore import scene_fingerprint
+from repro.vision.artifact_store import ArtifactStore, PyramidArtifact, default_store
 from repro.vision.optical_flow import FramePyramid
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see artifact_store)
-    from repro.vision.artifact_store import ArtifactStore
-
-# Process-wide counter totals across every PyramidCache instance.  The
-# sweep engine's run_shard cannot reach the per-run caches (they live
-# inside pipeline runs), so it diffs this aggregate around each shard to
-# funnel per-shard sweep.pyramid_* metrics — same idea as diffing the
-# frame store's stats().
+# Process-wide totals: ``hits`` counts pyramids served by the artifact
+# store, ``misses`` pyramids built here.  The sweep engine diffs them
+# around each shard to funnel per-shard sweep.pyramid_* metrics — same
+# idea as diffing the frame store's stats().
 _TOTALS_LOCK = threading.Lock()
-_TOTALS = {"hits": 0, "misses": 0, "evictions": 0}
+_TOTALS = {"hits": 0, "misses": 0}
 
 
 def counters_snapshot() -> dict[str, int]:
-    """Point-in-time copy of the process-wide PyramidCache totals."""
+    """Point-in-time copy of the process-wide pyramid totals."""
     with _TOTALS_LOCK:
         return dict(_TOTALS)
 
 
-def _bump_total(key: str, amount: int = 1) -> None:
+def _bump_total(key: str) -> None:
     with _TOTALS_LOCK:
-        _TOTALS[key] += amount
+        _TOTALS[key] += 1
 
 
-class PyramidCache:
-    """LRU cache mapping ``(frame_index, levels)`` to a built pyramid.
+def clip_fingerprint(clip) -> str | None:
+    """The scene fingerprint that keys ``clip``'s pyramids, or ``None``.
 
-    ``warm_gradients=True`` makes a miss also materialise every level's
-    gradient memo before the pyramid is published, moving that cost from
-    the first Lucas-Kanade consumer onto the builder (still outside the
-    lock).  Off by default: a warmed pyramid is bit-identical to a lazy
-    one, so this only shifts *when* gradients are computed.
-
-    ``fingerprint`` binds the cache to one scene's identity and enables
-    the artifact-store read-through; without it the cache never touches
-    a store (frame indices alone are not content-addressed).
-    ``artifact_store`` overrides the process-default store for tests and
-    benches.  When a store is in play, misses are stored *warmed* so the
-    gradients are shared across the fleet too — the warm flag stays part
-    of the store key, so lazy artifacts written by other callers remain
-    addressable.
+    Exported clips carry a scene shim with no ``(config, seed)`` identity;
+    their pyramids are always built locally rather than risking a store
+    key that is not content-addressed.
     """
+    scene = getattr(clip, "scene", None)
+    if scene is None or not (hasattr(scene, "config") and hasattr(scene, "seed")):
+        return None
+    return scene_fingerprint(scene)
 
-    def __init__(
-        self,
-        capacity: int = 4,
-        warm_gradients: bool = False,
-        fingerprint: str | None = None,
-        artifact_store: "ArtifactStore | None" = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self.warm_gradients = warm_gradients
-        self.fingerprint = fingerprint
-        self._store_override = artifact_store
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.prefix_hits = 0
-        self.store_hits = 0
-        self.store_misses = 0
-        self._hit_counter = None
-        self._miss_counter = None
-        self._eviction_counter = None
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple[int, int], FramePyramid] = OrderedDict()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+def load_pyramid(
+    frames: Callable[[int], np.ndarray],
+    frame_index: int,
+    levels: int,
+    fingerprint: str | None,
+    store: ArtifactStore | None = None,
+) -> FramePyramid:
+    """The ``levels``-level pyramid of frame ``frame_index``.
 
-    def set_obs(self, obs=None) -> None:
-        """Emit hit/miss/eviction counters to ``obs`` (None detaches)."""
-        if obs is None:
-            self._hit_counter = None
-            self._miss_counter = None
-            self._eviction_counter = None
-            return
-        self._hit_counter = obs.counter("pyramidcache.hit")
-        self._miss_counter = obs.counter("pyramidcache.miss")
-        self._eviction_counter = obs.counter("pyramidcache.eviction")
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "prefix_hits": self.prefix_hits,
-                "store_hits": self.store_hits,
-                "store_misses": self.store_misses,
-            }
-
-    def _resolve_store(self) -> "ArtifactStore | None":
-        """The store to read through, or None (unbound / disabled)."""
-        if self.fingerprint is None:
-            return None
-        if self._store_override is not None:
-            return self._store_override if self._store_override.enabled else None
-        from repro.vision.artifact_store import default_store
-
+    ``frames`` renders a frame by index; it is only called on a build.
+    ``store`` overrides the process-default artifact store (benches and
+    tests).  With no ``fingerprint``, or with the store disabled, this is
+    just ``FramePyramid(frames(frame_index), levels)``.  With a store,
+    pyramids are traded warmed, so the gradient work is shared fleet-wide
+    alongside the level images.
+    """
+    if fingerprint is not None and store is None:
         store = default_store()
-        return store if store.enabled else None
-
-    def get(
-        self,
-        frame_index: int,
-        levels: int,
-        frame_provider: Callable[[int], np.ndarray],
-    ) -> FramePyramid:
-        """The pyramid for ``frame_index``, building it on a miss."""
-        key = (frame_index, levels)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
-                hit_counter = self._hit_counter
-            else:
-                # A deeper cached pyramid for the same frame contains this
-                # one as its leading slice (level i is independent of the
-                # requested total; see module docstring).
-                parent_key = None
-                for (entry_frame, entry_levels), entry in self._entries.items():
-                    if entry_frame == frame_index and entry_levels >= levels:
-                        parent_key = (entry_frame, entry_levels)
-                        cached = entry
-                        break
-                if parent_key is not None:
-                    self._entries.move_to_end(parent_key)
-                    cached = cached.prefix(levels)
-                    self._entries[key] = cached
-                    self.hits += 1
-                    self.prefix_hits += 1
-                    hit_counter = self._hit_counter
-        if cached is not None:
-            _bump_total("hits")
-            if hit_counter is not None:
-                hit_counter.inc()
-            return cached
-
-        # Miss path, outside the lock: construction (or a store fetch) is
-        # the expensive part and must not serialise readers of other keys.
-        store = self._resolve_store()
-        # With a store in play, always trade in warmed artifacts so the
-        # gradient work is shared fleet-wide alongside the level images.
-        warmed = self.warm_gradients or store is not None
-        pyramid: FramePyramid | None = None
-        from_store = False
-        if store is not None:
-            artifact = store.get(self.fingerprint, frame_index, levels, warmed)
-            if artifact is not None:
-                pyramid = artifact.to_pyramid()
-                from_store = True
-        if pyramid is None:
-            pyramid = FramePyramid(frame_provider(frame_index), levels)
-            if warmed:
-                pyramid.warm_gradients()
-            if store is not None:
-                # Publish and adopt the canonical stored copy so every
-                # consumer in the fleet shares the same (frozen) bytes.
-                from repro.vision.artifact_store import PyramidArtifact
-
-                canonical = store.put(
-                    self.fingerprint,
-                    frame_index,
-                    levels,
-                    warmed,
-                    PyramidArtifact.from_pyramid(pyramid, warmed),
-                )
-                pyramid = canonical.to_pyramid()
-        with self._lock:
-            self.misses += 1
-            if from_store:
-                self.store_hits += 1
-            elif store is not None:
-                self.store_misses += 1
-            existing = self._entries.get(key)
-            if existing is not None:
-                # A racing builder published first; converge on its copy.
-                self._entries.move_to_end(key)
-                pyramid = existing
-            else:
-                self._entries[key] = pyramid
-                self._entries.move_to_end(key)
-                while len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
-                    _bump_total("evictions")
-                    if self._eviction_counter is not None:
-                        self._eviction_counter.inc()
-            miss_counter = self._miss_counter
+    if fingerprint is None or not store.enabled:
         _bump_total("misses")
-        if miss_counter is not None:
-            miss_counter.inc()
-        return pyramid
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        return FramePyramid(frames(frame_index), levels)
+    artifact = store.get(fingerprint, frame_index, levels, True)
+    if artifact is not None:
+        _bump_total("hits")
+        return artifact.to_pyramid()
+    _bump_total("misses")
+    pyramid = FramePyramid(frames(frame_index), levels)
+    # Publish and adopt the canonical stored copy so every consumer in
+    # the fleet shares the same (frozen) bytes.
+    canonical = store.put(
+        fingerprint,
+        frame_index,
+        levels,
+        True,
+        PyramidArtifact.from_pyramid(pyramid, warmed=True),
+    )
+    return canonical.to_pyramid()

@@ -336,6 +336,5 @@ class TestArtifactStoreModes:
             "sweep.artifact_lease_waits",
             "sweep.pyramid_hits",
             "sweep.pyramid_misses",
-            "sweep.pyramid_evictions",
         ):
             assert name in counters, name

@@ -14,12 +14,11 @@ from repro.video.dataset import make_clip
 
 class TestClipSpec:
     def test_round_trip_rebuilds_identical_clip(self):
-        clip = make_clip("intersection", seed=11, num_frames=12, render_cache=16)
+        clip = make_clip("intersection", seed=11, num_frames=12)
         spec = ClipSpec.from_clip(clip)
         rebuilt = spec.build()
         assert rebuilt.name == clip.name
         assert rebuilt.num_frames == clip.num_frames
-        assert rebuilt.renderer.cache_size == 16
         for index in (0, 5, 11):
             np.testing.assert_array_equal(rebuilt.frame(index), clip.frame(index))
         for index in range(clip.num_frames):
@@ -27,11 +26,6 @@ class TestClipSpec:
             assert [o.box.as_tuple() for o in a.objects] == [
                 o.box.as_tuple() for o in b.objects
             ]
-
-    def test_render_cache_override(self):
-        clip = make_clip("intersection", seed=11, num_frames=4)
-        spec = ClipSpec.from_clip(clip, render_cache=8)
-        assert spec.build().renderer.cache_size == 8
 
     def test_spec_is_hashable(self):
         clip = make_clip("intersection", seed=11, num_frames=4)

@@ -2,12 +2,46 @@
 ``BENCH_micro.json`` and the required hot paths report real speedups."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
-from repro.perf.benches import run_benchmarks
 from repro.perf.harness import validate_bench_doc
+
+
+def _bench_in_fresh_interpreter(names: list[str], out: Path) -> dict:
+    """Run the quick benches ``names`` in a new interpreter.
+
+    Every ratio gate below compares two implementations that allocate
+    multi-MB temporaries, so measured inside this long-lived test process
+    the ratio depends on what earlier tests left in the allocator: a
+    reference that page-faults fresh arrays runs ~1.6x slower than one
+    reusing freed memory.  A fresh process gives every run the same start.
+    """
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import pickle, sys\n"
+        "from repro.perf.benches import run_benchmarks\n"
+        "results = run_benchmarks(quick=True, only=sys.argv[2:])\n"
+        "with open(sys.argv[1], 'wb') as handle:\n"
+        "    pickle.dump(results, handle)\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code, str(out), *names],
+        env=env,
+        check=True,
+        timeout=900,
+    )
+    with open(out, "rb") as handle:
+        return {result.name: result for result in pickle.load(handle)}
 
 
 class TestBenchCLI:
@@ -45,7 +79,7 @@ class TestRequiredSpeedups:
     >1000x on an idle core)."""
 
     @pytest.fixture(scope="class")
-    def results(self):
+    def results(self, tmp_path_factory):
         names = [
             "gft_nms",
             "lk_track",
@@ -54,11 +88,11 @@ class TestRequiredSpeedups:
             "gaussian_blur",
             "pyramid_build",
             "shi_tomasi_response",
-            "render_frame",
             "frame_store_sweep",
             "pyramid_store_sweep",
         ]
-        return {r.name: r for r in run_benchmarks(quick=True, only=names)}
+        out = tmp_path_factory.mktemp("benches") / "results.pickle"
+        return _bench_in_fresh_interpreter(names, out)
 
     def test_nms_speedup(self, results):
         assert results["gft_nms"].speedup_vs_reference >= 1.5
@@ -78,8 +112,12 @@ class TestRequiredSpeedups:
         assert extra["speedup_vs_lk_track"] >= 4.0
         assert extra["lk_track_per_call_s"] > 0
 
-    def test_render_frame_speedup(self, results):
-        assert results["render_frame"].speedup_vs_reference >= 1.6
+    def test_render_frame_speedup(self, tmp_path):
+        # A process of its own: the renderers' ratio also moves with what
+        # the benches before it freed.
+        out = tmp_path / "render.pickle"
+        result = _bench_in_fresh_interpreter(["render_frame"], out)["render_frame"]
+        assert result.speedup_vs_reference >= 1.6
 
     def test_gaussian_blur_speedup(self, results):
         # Full-run figure ~4x; the CI floor is 1.5x, this sits just below.

@@ -61,6 +61,8 @@ class TestRunMacroBenchmark:
         par = store["parallel"]
         assert 0 < par["misses"] <= unique_frames * bench["jobs"]
         assert par["evicted_bytes"] == 0
+        # Render-once fleet-wide: the exact gate validate_macro_doc applies.
+        assert par["misses"] == seq["misses"]
 
     def test_arms_record_their_store_mode(self, macro_doc):
         from repro.video.framestore import shared_store_available
@@ -100,7 +102,9 @@ class TestRunMacroBenchmark:
             entry = store[arm]
             assert entry["misses"] > 0
             assert entry["hits"] >= 0
-            assert entry["pyramid_cache_misses"] > 0
+            assert entry["evicted_bytes"] == 0
+        # Build-once fleet-wide: the exact gate validate_macro_doc applies.
+        assert store["parallel"]["misses"] == store["sequential"]["misses"]
 
     def test_artifact_store_arms_record_their_mode(self, macro_doc):
         from repro.video.framestore import shared_store_available
@@ -204,44 +208,65 @@ class TestValidateMacroDoc:
         assert "skipping" not in capsys.readouterr().err
 
 
+def _set_misses(doc: dict, label: str, sequential: int, parallel: int) -> dict:
+    store = doc["benches"][0][label]
+    store["sequential"]["misses"] = sequential
+    store["parallel"]["misses"] = parallel
+    return doc
+
+
 class TestStoreHitRatioGate:
+    """The frame store's reuse gate: with nothing evicted, the parallel
+    arm must render exactly the frames the sequential arm rendered (equal
+    misses) — render-once fleet-wide.  Always on, and exact."""
+
     def test_parity_passes(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 300
-        store["parallel"]["hits"] = 290
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.9) == [MACRO_BENCH_NAME]
+        doc = _set_misses(copy.deepcopy(macro_doc), "frame_store", 164, 164)
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
+
+    def test_one_extra_parallel_miss_fails(self, macro_doc):
+        doc = _set_misses(copy.deepcopy(macro_doc), "frame_store", 164, 165)
+        with pytest.raises(ValueError, match="frame_store misses 165 != sequential"):
+            validate_macro_doc(doc)
 
     def test_private_store_regression_fails(self, macro_doc):
-        """The motivating bug: per-worker private stores at jobs=4 showed
-        21 parallel hits against 318 sequential — the gate must catch
-        that shape."""
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 318
-        store["parallel"]["hits"] = 21
-        with pytest.raises(ValueError, match="below 90% of sequential"):
-            validate_macro_doc(doc, min_store_hit_ratio=0.9)
+        """The motivating bug: per-worker private stores make each worker
+        render every frame it touches, so parallel misses exceed the
+        sequential arm's."""
+        doc = _set_misses(copy.deepcopy(macro_doc), "frame_store", 340, 1012)
+        with pytest.raises(ValueError, match="did not produce each entry exactly once"):
+            validate_macro_doc(doc)
 
     def test_gate_is_one_sided(self, macro_doc):
-        # Worker-local renderer caches are colder than the parent's, so
-        # the parallel arm legitimately hits the store *more*.
+        # Only misses are compared: worker-local renderer caches are
+        # colder than the parent's, so the parallel arm legitimately hits
+        # the store more often.
         doc = copy.deepcopy(macro_doc)
         store = doc["benches"][0]["frame_store"]
         store["sequential"]["hits"] = 100
         store["parallel"]["hits"] = 400
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.9) == [MACRO_BENCH_NAME]
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
+
+    def test_evicting_document_fails(self, macro_doc):
+        # A budget that evicted cannot certify reuse, even when the
+        # misses happen to agree.
+        doc = copy.deepcopy(macro_doc)
+        doc["benches"][0]["frame_store"]["parallel"]["evicted_bytes"] = 230400
+        with pytest.raises(ValueError, match="too small to certify reuse"):
+            validate_macro_doc(doc)
+
+    def test_budget_without_misses_fails(self, macro_doc):
+        doc = _set_misses(copy.deepcopy(macro_doc), "frame_store", 0, 0)
+        with pytest.raises(ValueError, match="nothing was measured"):
+            validate_macro_doc(doc)
 
     def test_no_waiver_on_single_core(self, macro_doc):
         # Unlike --min-speedup, cache reuse needs no second core: the
         # gate holds everywhere.
-        doc = copy.deepcopy(macro_doc)
+        doc = _set_misses(copy.deepcopy(macro_doc), "frame_store", 340, 341)
         doc["host"]["cpu_count"] = 1
-        store = doc["benches"][0]["frame_store"]
-        store["sequential"]["hits"] = 318
-        store["parallel"]["hits"] = 21
-        with pytest.raises(ValueError, match="below 90% of sequential"):
-            validate_macro_doc(doc, min_store_hit_ratio=0.9)
+        with pytest.raises(ValueError, match="misses 341 != sequential"):
+            validate_macro_doc(doc)
 
     def test_unknown_store_mode_rejected(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
@@ -251,58 +276,63 @@ class TestStoreHitRatioGate:
 
     def test_legacy_arms_without_store_mode_still_validate(self, macro_doc):
         """Documents written before the cross-process store lack
-        store_mode/lease_waits; the schema (and even the ratio gate)
-        must keep accepting them."""
+        store_mode/lease_waits; the schema and the gate must keep
+        accepting them."""
         doc = copy.deepcopy(macro_doc)
         for arm in ("sequential", "parallel"):
             entry = doc["benches"][0]["frame_store"][arm]
             entry.pop("store_mode", None)
             entry.pop("lease_waits", None)
         assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
-        assert validate_macro_doc(doc, min_store_hit_ratio=0.0) == [MACRO_BENCH_NAME]
+
+    def test_committed_document_validates(self):
+        """The committed BENCH_macro.json (340 == 340 frame-store misses,
+        nothing evicted) passes the exact gate."""
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[2] / "BENCH_macro.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert MACRO_BENCH_NAME in validate_macro_doc(doc)
 
 
 class TestArtifactHitRatioGate:
-    """--min-artifact-hit-ratio: the one-sided parallel-vs-sequential
-    parity gate, one layer up from --min-store-hit-ratio."""
+    """The same exact reuse gate one layer up: with nothing evicted, the
+    parallel arm must build exactly the pyramids the sequential arm built
+    — build-once fleet-wide."""
 
     def test_parity_passes(self, macro_doc):
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["artifact_store"]
-        store["sequential"]["hits"] = 74
-        store["parallel"]["hits"] = 74
-        assert validate_macro_doc(doc, min_artifact_hit_ratio=0.9) == [
-            MACRO_BENCH_NAME
-        ]
+        doc = _set_misses(copy.deepcopy(macro_doc), "artifact_store", 164, 164)
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
+
+    def test_one_extra_parallel_miss_fails(self, macro_doc):
+        doc = _set_misses(copy.deepcopy(macro_doc), "artifact_store", 164, 165)
+        with pytest.raises(ValueError, match="artifact_store misses 165 != sequential"):
+            validate_macro_doc(doc)
 
     def test_cold_parallel_store_fails(self, macro_doc):
-        """The motivating shape: per-worker private artifact stores would
-        show near-zero parallel hits against a warm sequential arm."""
-        doc = copy.deepcopy(macro_doc)
-        store = doc["benches"][0]["artifact_store"]
-        store["sequential"]["hits"] = 74
-        store["parallel"]["hits"] = 3
-        with pytest.raises(ValueError, match="artifact_store hits 3 below"):
-            validate_macro_doc(doc, min_artifact_hit_ratio=0.9)
+        """The motivating shape: per-worker private artifact stores make
+        each worker rebuild pyramids another worker already built."""
+        doc = _set_misses(copy.deepcopy(macro_doc), "artifact_store", 164, 301)
+        with pytest.raises(ValueError, match="artifact_store misses 301 != sequential"):
+            validate_macro_doc(doc)
 
     def test_gate_is_one_sided(self, macro_doc):
+        # Only misses are compared; hits may differ between the arms.
         doc = copy.deepcopy(macro_doc)
         store = doc["benches"][0]["artifact_store"]
         store["sequential"]["hits"] = 50
         store["parallel"]["hits"] = 200
-        assert validate_macro_doc(doc, min_artifact_hit_ratio=0.9) == [
-            MACRO_BENCH_NAME
-        ]
+        assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]
 
-    def test_gate_without_block_is_an_error(self, macro_doc):
+    def test_evicting_document_fails(self, macro_doc):
         doc = copy.deepcopy(macro_doc)
-        del doc["benches"][0]["artifact_store"]
-        with pytest.raises(ValueError, match="no artifact_store block"):
-            validate_macro_doc(doc, min_artifact_hit_ratio=0.9)
+        doc["benches"][0]["artifact_store"]["sequential"]["evicted_bytes"] = 1
+        with pytest.raises(ValueError, match="artifact_store evicted .* too small"):
+            validate_macro_doc(doc)
 
     def test_legacy_doc_without_block_still_validates(self, macro_doc):
         """Documents written before the artifact store lack the block;
-        the ungated schema must keep accepting them."""
+        the schema must keep accepting them."""
         doc = copy.deepcopy(macro_doc)
         del doc["benches"][0]["artifact_store"]
         assert validate_macro_doc(doc) == [MACRO_BENCH_NAME]

@@ -8,7 +8,13 @@ from repro.geometry import Box, iou
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker
 from repro.vision.block_motion import BlockMotionParams
-from repro.vision.pyramid_cache import PyramidCache
+from repro.vision.artifact_store import (
+    BYTES_PER_MB,
+    ArtifactStore,
+    _PrivateBacking,
+    install_store,
+)
+from repro.vision.pyramid_cache import clip_fingerprint
 from repro.video.dataset import make_clip
 
 
@@ -17,7 +23,7 @@ def clip():
     return make_clip("highway_surveillance", seed=55, num_frames=40)
 
 
-def seed_tracker(clip, config=None, frame=0, pyramid_cache=None):
+def seed_tracker(clip, config=None, frame=0, fingerprint=None):
     ann = clip.annotation(frame)
     detections = tuple(Detection(o.label, o.box, 0.9) for o in ann.objects)
     tracker = MVETracker(
@@ -25,7 +31,7 @@ def seed_tracker(clip, config=None, frame=0, pyramid_cache=None):
         clip.config.frame_width,
         clip.config.frame_height,
         config,
-        pyramid_cache=pyramid_cache,
+        fingerprint=fingerprint,
     )
     tracker.initialize(frame, detections)
     return tracker, detections
@@ -115,10 +121,24 @@ class TestTracking:
         assert run() == run()
 
     def test_pyramid_cache_shared_results_identical(self, clip):
+        """Pyramids read through the artifact store (built by one
+        tracker, served to the next) never change what MVE tracks."""
         direct, _ = seed_tracker(clip)
-        cached, _ = seed_tracker(clip, pyramid_cache=PyramidCache(capacity=4))
-        for j in (2, 4, 6):
-            assert direct.track_to(j).detections == cached.track_to(j).detections
+        store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
+        previous = install_store(store)
+        try:
+            fingerprint = clip_fingerprint(clip)
+            builder, _ = seed_tracker(clip, fingerprint=fingerprint)
+            built = [builder.track_to(j).detections for j in (2, 4, 6)]
+            misses = store.stats()["misses"]
+            served, _ = seed_tracker(clip, fingerprint=fingerprint)
+            for j, detections in zip((2, 4, 6), built):
+                assert direct.track_to(j).detections == detections
+                assert served.track_to(j).detections == detections
+            assert store.stats()["misses"] == misses  # all store-served
+            assert store.stats()["hits"] > 0
+        finally:
+            install_store(previous)
 
 
 class TestExtrapolation:

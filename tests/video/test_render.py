@@ -186,11 +186,3 @@ class TestCacheCounters:
         renderer.render(0)
         renderer.render(0)
         assert renderer.cache_hits == 1
-
-    def test_render_cache_size_config_validation(self):
-        from repro.core.config import PipelineConfig
-
-        with pytest.raises(ValueError, match="render_cache_size"):
-            PipelineConfig(render_cache_size=0)
-        assert PipelineConfig(render_cache_size=16).render_cache_size == 16
-        assert PipelineConfig().render_cache_size is None

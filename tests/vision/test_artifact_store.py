@@ -30,7 +30,7 @@ from repro.vision.artifact_store import (
     unpack_artifact,
 )
 from repro.vision.optical_flow import FramePyramid
-from repro.vision.pyramid_cache import PyramidCache
+from repro.vision.pyramid_cache import load_pyramid
 
 
 def _frame(seed: int, shape: tuple[int, int] = (48, 64)) -> np.ndarray:
@@ -162,14 +162,13 @@ class TestArtifactStoreSemantics:
 class TestProcessDefault:
     def test_unbound_cache_never_touches_a_store(self):
         # No fingerprint means no content address: even with a live
-        # default store the cache must stay local.
+        # default store the pyramid is built locally.
         overlay = ArtifactStore(_PrivateBacking(4 * BYTES_PER_MB))
         previous = install_store(overlay)
         try:
-            cache = PyramidCache(capacity=2)
-            cache.get(0, 2, lambda _: _frame(20))
-            assert overlay.stats()["misses"] == 0
-            assert cache.store_hits == 0 and cache.store_misses == 0
+            load_pyramid(lambda _: _frame(20), 0, 2, None)
+            stats = overlay.stats()
+            assert stats["hits"] == stats["misses"] == stats["entries"] == 0
         finally:
             install_store(previous)
 
@@ -223,18 +222,16 @@ class TestStoreServedEqualsDirect:
     def test_cache_readthrough_matches_direct_build(self, levels, seed):
         frame = _frame(seed)
         store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
-        writer = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store)
-        reader = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store)
-        writer.get(0, levels, lambda _: frame)
+        load_pyramid(lambda _: frame, 0, levels, "fp", store)
         calls = []
 
         def provider(index):
             calls.append(index)
             return frame
 
-        served = reader.get(0, levels, provider)
+        served = load_pyramid(provider, 0, levels, "fp", store)
         assert calls == []  # fully store-served, never rebuilt
-        assert reader.store_hits == 1
+        assert store.stats()["hits"] == 1
         _assert_pyramids_equal(served, FramePyramid(frame, levels))
 
 
@@ -243,14 +240,17 @@ def _pyramids_via_shared_store(token, fingerprint, num_frames, levels, queue):
     import numpy as np
 
     from repro.vision.artifact_store import attach_shared
-    from repro.vision.pyramid_cache import PyramidCache
+    from repro.vision.pyramid_cache import load_pyramid
 
     store = attach_shared(token)
-    cache = PyramidCache(capacity=1, fingerprint=fingerprint, artifact_store=store)
     payload = []
     for index in range(num_frames):
-        pyramid = cache.get(
-            index, levels, lambda i: np.random.default_rng(1000 + i).random((40, 56))
+        pyramid = load_pyramid(
+            lambda i: np.random.default_rng(1000 + i).random((40, 56)),
+            index,
+            levels,
+            fingerprint,
+            store,
         )
         planes = [np.asarray(img).copy() for img in pyramid.images]
         grads = [

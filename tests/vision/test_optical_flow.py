@@ -146,13 +146,22 @@ class TestFramePyramid:
 
 class TestPyramidCacheWarming:
     def test_warming_flag_prefills_gradient_memo(self, base_image):
-        from repro.vision.pyramid_cache import PyramidCache
+        """Pyramids read through an artifact store are traded warmed
+        (the store key's warm flag is set): every level's gradient memo
+        arrives filled, bit-identical to a lazy local build."""
+        from repro.vision.artifact_store import (
+            BYTES_PER_MB,
+            ArtifactStore,
+            _PrivateBacking,
+        )
+        from repro.vision.pyramid_cache import load_pyramid
 
-        warm = PyramidCache(capacity=2, warm_gradients=True)
-        cold = PyramidCache(capacity=2)
+        store = ArtifactStore(_PrivateBacking(8 * BYTES_PER_MB))
         provider = lambda _index: base_image  # noqa: E731 - tiny fixture closure
-        warm_pyr = warm.get(0, 3, provider)
-        cold_pyr = cold.get(0, 3, provider)
+        warm_pyr = load_pyramid(provider, 0, 3, "fp", store)
+        cold_pyr = load_pyramid(provider, 0, 3, None)
+        assert all(pair is not None for pair in warm_pyr._gradients)
+        assert all(pair is None for pair in cold_pyr._gradients)
         for level in range(3):
             wx, wy = warm_pyr.gradients(level)
             cx, cy = cold_pyr.gradients(level)

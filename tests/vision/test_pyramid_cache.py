@@ -1,4 +1,4 @@
-"""PyramidCache: prefix serving, counters, store read-through, tier sharing."""
+"""load_pyramid: the artifact-store read-through, its counters, tier sharing."""
 
 from __future__ import annotations
 
@@ -6,18 +6,37 @@ import numpy as np
 import pytest
 
 from repro.detection.detector import Detection
-from repro.obs import InMemorySink, Telemetry
 from repro.tracking.mve import MVETracker, MVETrackerConfig
 from repro.tracking.tracker import ObjectTracker, TrackerConfig
-from repro.vision.artifact_store import BYTES_PER_MB, ArtifactStore, _PrivateBacking
-from repro.vision.block_motion import BlockMotionParams
-from repro.vision.optical_flow import FramePyramid, LKParams
-from repro.vision.pyramid_cache import PyramidCache, counters_snapshot
 from repro.video.dataset import make_clip
+from repro.video.framestore import scene_fingerprint
+from repro.vision.artifact_store import (
+    BYTES_PER_MB,
+    ArtifactStore,
+    _PrivateBacking,
+    install_store,
+)
+from repro.vision.optical_flow import FramePyramid
+from repro.vision.pyramid_cache import clip_fingerprint, counters_snapshot, load_pyramid
 
 
 def _frame(seed: int, shape: tuple[int, int] = (48, 64)) -> np.ndarray:
     return np.random.default_rng(seed).random(shape)
+
+
+def _store(mb: int = 32) -> ArtifactStore:
+    return ArtifactStore(_PrivateBacking(mb * BYTES_PER_MB))
+
+
+def _assert_equal_to_direct(served: FramePyramid, frame: np.ndarray, levels: int) -> None:
+    direct = FramePyramid(frame, levels)
+    assert served.levels == direct.levels
+    for level in range(direct.levels):
+        assert np.array_equal(served.images[level], direct.images[level])
+        sx, sy = served.gradients(level)
+        dx, dy = direct.gradients(level)
+        assert np.array_equal(sx, dx)
+        assert np.array_equal(sy, dy)
 
 
 @pytest.fixture()
@@ -25,166 +44,94 @@ def clip():
     return make_clip("highway_surveillance", seed=55, num_frames=24)
 
 
-class TestBasics:
-    def test_exact_hit_returns_same_object(self):
-        cache = PyramidCache(capacity=2)
-        first = cache.get(0, 3, lambda _: _frame(0))
-        second = cache.get(0, 3, lambda _: _frame(0))
-        assert second is first
-        assert cache.stats()["hits"] == 1 and cache.stats()["misses"] == 1
-
-    def test_lru_eviction_counts(self):
-        cache = PyramidCache(capacity=1)
-        cache.get(0, 3, lambda _: _frame(0))
-        cache.get(1, 3, lambda _: _frame(1))
-        assert cache.evictions == 1
-        assert len(cache) == 1
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            PyramidCache(capacity=0)
-
-
-class TestPrefixServing:
-    def test_shallower_request_served_from_deeper_entry(self):
-        frame = _frame(1)
-        cache = PyramidCache(capacity=4)
-        deep = cache.get(0, 4, lambda _: frame)
-        calls = []
-
-        def provider(index):
-            calls.append(index)
-            return frame
-
-        shallow = cache.get(0, 2, provider)
-        assert calls == []  # served as a prefix view, never rebuilt
-        assert cache.prefix_hits == 1 and cache.hits == 1
-        # Bit-identical to a direct 2-level build, gradients included.
-        direct = FramePyramid(frame, 2)
-        assert shallow.levels == direct.levels
-        for level in range(direct.levels):
-            assert np.array_equal(shallow.images[level], direct.images[level])
-            sx, sy = shallow.gradients(level)
-            dx, dy = direct.gradients(level)
-            assert np.array_equal(sx, dx)
-            assert np.array_equal(sy, dy)
-        # The prefix shares the parent's gradient memo, not a copy.
-        assert shallow.images[0] is deep.images[0]
-
-    def test_prefix_result_is_cached_under_its_own_key(self):
-        cache = PyramidCache(capacity=4)
-        frame = _frame(2)
-        cache.get(0, 4, lambda _: frame)
-        first = cache.get(0, 2, lambda _: frame)
-        second = cache.get(0, 2, lambda _: frame)
-        assert second is first
-        assert cache.prefix_hits == 1  # the repeat is an exact hit
-
-    def test_deeper_request_misses(self):
-        cache = PyramidCache(capacity=4)
-        frame = _frame(3)
-        cache.get(0, 2, lambda _: frame)
-        cache.get(0, 4, lambda _: frame)
-        assert cache.prefix_hits == 0
-        assert cache.misses == 2
-
-    def test_clamped_pyramid_prefix_is_safe(self):
-        # A 12x12 frame clamps every request to one level; prefix serving
-        # across different requested depths must stay bit-identical.
-        frame = _frame(4, shape=(12, 12))
-        cache = PyramidCache(capacity=4)
-        deep = cache.get(0, 4, lambda _: frame)
-        shallow = cache.get(0, 2, lambda _: frame)
-        assert deep.levels == shallow.levels == 1
-        assert np.array_equal(shallow.images[0], FramePyramid(frame, 2).images[0])
-
-
-class TestCounters:
-    def test_module_totals_snapshot_diffs(self):
-        before = counters_snapshot()
-        cache = PyramidCache(capacity=1)
-        cache.get(0, 2, lambda _: _frame(5))
-        cache.get(0, 2, lambda _: _frame(5))
-        cache.get(1, 2, lambda _: _frame(6))
-        after = counters_snapshot()
-        assert after["hits"] - before["hits"] == 1
-        assert after["misses"] - before["misses"] == 2
-        assert after["evictions"] - before["evictions"] == 1
-
-    def test_set_obs_emits_counters(self):
-        obs = Telemetry(InMemorySink())
-        cache = PyramidCache(capacity=1)
-        cache.set_obs(obs)
-        cache.get(0, 2, lambda _: _frame(7))
-        cache.get(0, 2, lambda _: _frame(7))
-        cache.get(1, 2, lambda _: _frame(8))
-        obs.flush()
-        counters = {
-            record["name"]: record["value"]
-            for record in obs.sink.last_metrics()
-            if record["kind"] == "counter"
-        }
-        assert counters["pyramidcache.hit"] == 1
-        assert counters["pyramidcache.miss"] == 2
-        assert counters["pyramidcache.eviction"] == 1
-
-    def test_set_obs_none_detaches(self):
-        obs = Telemetry(InMemorySink())
-        cache = PyramidCache(capacity=2)
-        cache.set_obs(obs)
-        cache.set_obs(None)
-        cache.get(0, 2, lambda _: _frame(9))
-        obs.flush()
-        # Attaching registers the counters at zero; detaching must stop
-        # the increments (the registered zeros remain in the sink).
-        assert all(
-            record["value"] == 0
-            for record in obs.sink.last_metrics()
-            if record["name"].startswith("pyramidcache.")
-        )
-
-
 class TestStoreReadThrough:
     def test_second_cache_is_served_without_building(self):
-        store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
+        store = _store()
         frame = _frame(10)
-        writer = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store)
-        writer.get(0, 3, lambda _: frame)
-        assert writer.store_misses == 1
-        reader = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store)
+        built = load_pyramid(lambda _: frame, 0, 3, "fp", store)
+        assert store.stats()["misses"] == 1
         calls = []
 
         def provider(index):
             calls.append(index)
             return frame
 
-        served = reader.get(0, 3, provider)
+        served = load_pyramid(provider, 0, 3, "fp", store)
         assert calls == []
-        assert reader.store_hits == 1
-        direct = FramePyramid(frame, 3)
-        for level in range(direct.levels):
-            assert np.array_equal(served.images[level], direct.images[level])
-            sx, sy = served.gradients(level)
-            dx, dy = direct.gradients(level)
-            assert np.array_equal(sx, dx)
-            assert np.array_equal(sy, dy)
+        assert store.stats()["hits"] == 1
+        _assert_equal_to_direct(built, frame, 3)
+        _assert_equal_to_direct(served, frame, 3)
+        # Both callers read the one canonical stored copy.
+        assert np.shares_memory(built.images[0], served.images[0])
 
     def test_store_served_entries_arrive_warmed(self):
         # With a store in play the builder publishes warmed artifacts, so
         # the reader's gradients come from shared bytes, not a recompute.
-        store = ArtifactStore(_PrivateBacking(32 * BYTES_PER_MB))
-        frame = _frame(11)
-        PyramidCache(capacity=2, fingerprint="fp", artifact_store=store).get(
-            0, 2, lambda _: frame
-        )
+        store = _store()
+        load_pyramid(lambda _: _frame(11), 0, 2, "fp", store)
         artifact = store.get("fp", 0, 2, True)
         assert artifact is not None and artifact.warmed
 
     def test_disabled_store_falls_back_to_local_build(self):
-        store = ArtifactStore(_PrivateBacking(0))
-        cache = PyramidCache(capacity=2, fingerprint="fp", artifact_store=store)
-        cache.get(0, 2, lambda _: _frame(12))
-        assert cache.store_hits == 0 and cache.store_misses == 0
+        store = _store(mb=0)
+        frame = _frame(12)
+        pyramid = load_pyramid(lambda _: frame, 0, 2, "fp", store)
+        _assert_equal_to_direct(pyramid, frame, 2)
+        stats = store.stats()
+        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
+
+    def test_default_store_is_resolved_at_call_time(self):
+        overlay = _store()
+        previous = install_store(overlay)
+        try:
+            load_pyramid(lambda _: _frame(13), 0, 2, "fp")
+        finally:
+            install_store(previous)
+        assert overlay.stats()["misses"] == 1
+        assert overlay.get("fp", 0, 2, True) is not None
+
+
+class TestPrefixServing:
+    def test_deeper_request_misses(self):
+        """There is no prefix serving: every depth is its own store key,
+        so neither a deeper nor a shallower request reuses an entry."""
+        store = _store()
+        frame = _frame(3)
+        load_pyramid(lambda _: frame, 0, 2, "fp", store)
+        deep = load_pyramid(lambda _: frame, 0, 4, "fp", store)
+        shallow = load_pyramid(lambda _: frame, 0, 1, "fp", store)
+        assert store.stats()["hits"] == 0
+        assert store.stats()["misses"] == 3
+        _assert_equal_to_direct(deep, frame, 4)
+        _assert_equal_to_direct(shallow, frame, 1)
+
+
+class TestCounters:
+    def test_module_totals_snapshot_diffs(self):
+        """``hits`` counts store-served pyramids, ``misses`` built ones —
+        with or without a store."""
+        store = _store()
+        before = counters_snapshot()
+        load_pyramid(lambda _: _frame(5), 0, 2, "fp", store)
+        load_pyramid(lambda _: _frame(5), 0, 2, "fp", store)
+        load_pyramid(lambda _: _frame(6), 1, 2, None)
+        after = counters_snapshot()
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 2
+        assert set(after) == {"hits", "misses"}
+
+
+class TestClipFingerprint:
+    def test_generated_clip_uses_its_scene_fingerprint(self, clip):
+        assert clip_fingerprint(clip) == scene_fingerprint(clip.scene)
+
+    def test_exported_clip_has_none(self, tmp_path):
+        # An exported clip's scene shim has no (config, seed) identity.
+        from repro.video.export import ExportedClip, export_clip
+
+        short = make_clip("highway_surveillance", seed=55, num_frames=3)
+        path = export_clip(short, tmp_path / "clip")
+        assert clip_fingerprint(ExportedClip(path)) is None
 
 
 def _detections(clip, frame: int = 0):
@@ -194,51 +141,55 @@ def _detections(clip, frame: int = 0):
 
 
 class TestTierTransition:
-    """ISSUE 10 satellite: an lk<->mve tier transition on the same frame
-    must hit the shared cache instead of rebuilding warmed pyramids."""
+    """An lk<->mve tier transition on the same frame reads the pyramid the
+    other tier published, when both tiers use the same pyramid depth (the
+    defaults do)."""
 
     def test_mve_after_lk_hits_shared_cache(self, clip):
-        shared = PyramidCache(capacity=8)
-        width = clip.config.frame_width
-        height = clip.config.frame_height
-        lk = ObjectTracker(
-            clip.frame, width, height,
-            TrackerConfig(lk=LKParams(pyramid_levels=4)),
-            pyramid_cache=shared,
-        )
-        lk.initialize(0, _detections(clip))
-        misses_after_lk = shared.misses
-        mve = MVETracker(
-            clip.frame, width, height,
-            MVETrackerConfig(block=BlockMotionParams(pyramid_levels=3)),
-            pyramid_cache=shared,
-        )
-        mve.initialize(0, _detections(clip))
-        # The transition is a (prefix) hit: the MVE tier's 3-level request
-        # is the leading slice of the LK tier's cached 4-level pyramid.
-        assert shared.misses == misses_after_lk
-        assert shared.prefix_hits >= 1
+        store = _store()
+        previous = install_store(store)
+        try:
+            fingerprint = clip_fingerprint(clip)
+            width = clip.config.frame_width
+            height = clip.config.frame_height
+            lk = ObjectTracker(
+                clip.frame, width, height, TrackerConfig(), fingerprint=fingerprint
+            )
+            lk.initialize(0, _detections(clip))
+            misses_after_lk = store.stats()["misses"]
+            mve = MVETracker(
+                clip.frame, width, height, MVETrackerConfig(), fingerprint=fingerprint
+            )
+            mve.initialize(0, _detections(clip))
+        finally:
+            install_store(previous)
+        assert store.stats()["misses"] == misses_after_lk
+        assert store.stats()["hits"] >= 1
 
     def test_shared_cache_results_identical_across_tiers(self, clip):
-        shared = PyramidCache(capacity=8)
         width = clip.config.frame_width
         height = clip.config.frame_height
 
-        def run_pair(cache):
+        def run_pair(fingerprint):
             lk = ObjectTracker(
                 clip.frame, width, height, TrackerConfig(),
-                seed=0, pyramid_cache=cache,
+                seed=0, fingerprint=fingerprint,
             )
             lk.initialize(0, _detections(clip))
             lk_steps = [lk.track_to(j).detections for j in (2, 4)]
             mve = MVETracker(
-                clip.frame, width, height, MVETrackerConfig(), pyramid_cache=cache
+                clip.frame, width, height, MVETrackerConfig(), fingerprint=fingerprint
             )
             mve.initialize(4, _detections(clip, 4))
             mve_steps = [mve.track_to(j).detections for j in (6, 8)]
             return lk_steps, mve_steps
 
-        with_cache = run_pair(shared)
-        without_cache = run_pair(None)
-        assert with_cache == without_cache
-        assert shared.hits > 0
+        store = _store()
+        previous = install_store(store)
+        try:
+            with_store = run_pair(clip_fingerprint(clip))
+        finally:
+            install_store(previous)
+        without_store = run_pair(None)
+        assert with_store == without_store
+        assert store.stats()["hits"] > 0
